@@ -1,12 +1,9 @@
 //! # weber-net — minimal epoll event-loop networking
 //!
-//! The serving tiers' original front ends spent one OS thread per
-//! connection; at tens of thousands of mostly-idle persistent
-//! connections that is tens of thousands of stacks doing nothing. This
-//! crate replaces them with a single-reactor design built directly on
-//! raw `epoll`/`eventfd` syscalls (the build is offline and Linux-only,
-//! so there is no `mio`, no `tokio`, no `libc` — just the half-dozen
-//! foreign declarations in [`sys`]):
+//! The one request engine of the serving tiers: a single-reactor design
+//! built directly on raw `epoll`/`eventfd` syscalls (the build is offline
+//! and Linux-only, so there is no `mio`, no `tokio`, no `libc` — just the
+//! half-dozen foreign declarations in [`sys`]):
 //!
 //! * [`Poller`] / [`Waker`] — level-triggered readiness over epoll with
 //!   an eventfd cross-thread wake-up.
@@ -14,12 +11,15 @@
 //!   backpressure-aware writes for non-blocking sockets.
 //! * [`WorkerPool`] — bounded per-worker FIFO queues with sticky
 //!   data-plane routing and never-shed control lines.
-//! * [`serve`] + [`NdjsonService`] — the reactor loop itself: accept,
-//!   frame, classify, dispatch, reorder, flush, evict, drain.
+//! * [`serve`] / [`serve_stdio`] + [`NdjsonService`] — the reactor loop
+//!   itself: accept, frame, classify, dispatch, reorder, flush, evict,
+//!   drain. Stdin/stdout is one more connection, bridged through a
+//!   socketpair.
 //!
 //! A serving tier implements [`NdjsonService`] (classify + process) and
-//! gets 10k+ connection capacity with per-connection reply ordering for
-//! free. Both `weber serve` and `weber route` front ends run on it.
+//! gets 10k+ connection capacity, per-connection reply ordering and the
+//! `Control` barrier for free. Both `weber serve` and `weber route` run
+//! on it, over TCP and over stdio alike.
 
 mod buffer;
 mod poller;
@@ -33,4 +33,4 @@ pub use poller::{
     Poller, Waker,
 };
 pub use pool::{Completion, CompletionSender, Dispatch, RouteClass, WorkerPool};
-pub use server::{serve, IoMode, NdjsonService, Reply, Responder, ServerOptions};
+pub use server::{serve, serve_stdio, NdjsonService, Reply, Responder, ServerOptions};

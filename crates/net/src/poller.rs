@@ -41,10 +41,14 @@ impl Interest {
         writable: false,
     };
 
+    /// Half-close (`EPOLLRDHUP`) is watched only with read interest: it
+    /// stays reported for as long as the peer's write side is shut, so
+    /// a connection that has seen EOF and waits on its workers would
+    /// otherwise wake the poller in a loop.
     fn bits(self) -> u32 {
-        let mut bits = EPOLLRDHUP;
+        let mut bits = 0;
         if self.readable {
-            bits |= EPOLLIN;
+            bits |= EPOLLIN | EPOLLRDHUP;
         }
         if self.writable {
             bits |= EPOLLOUT;
@@ -137,10 +141,17 @@ impl Waker {
     }
 
     /// Clear the pending wake so the next [`wake`](Self::wake) signals
-    /// again.
+    /// again. The eventfd is read *before* `armed` is cleared: in the
+    /// other order a `wake` landing between the two would signal an fd
+    /// this read then swallows, leaving `armed` set with nothing pending,
+    /// and every later wake would be a no-op. In this order a wake that
+    /// lands in between is coalesced instead, which is safe because the
+    /// reactor drains its completion queue after calling `drain`. The
+    /// clear is a read-modify-write so it acquires whatever the coalesced
+    /// waker published before its own `swap`.
     pub fn drain(&self) {
-        self.armed.store(false, Ordering::Release);
         self.event_fd.drain();
+        self.armed.swap(false, Ordering::AcqRel);
     }
 }
 
@@ -149,3 +160,77 @@ pub use sys::raise_nofile_limit;
 /// Re-exports for outbound (client-side) reactors: begin a connect
 /// without blocking, finish it when `EPOLLOUT` fires.
 pub use sys::{connect_nonblocking, connect_outcome, ConnectProgress};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    /// Worker threads keep posting work and waking a reactor that waits
+    /// with no timeout and drains the waker before reading the posted
+    /// count, as both reactors do with their completion queues. A wake
+    /// lost between `drain`'s two steps leaves `armed` stuck, so no later
+    /// wake reaches the reactor and the final post is never seen.
+    #[test]
+    fn concurrent_wakes_are_never_lost() {
+        const WORKERS: usize = 2;
+        const RUN: Duration = Duration::from_millis(1500);
+        let waker = Arc::new(Waker::new().unwrap());
+        let posted = Arc::new(AtomicU64::new(0));
+        let seen = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let reactor = {
+            let (waker, posted, seen, stop) = (
+                Arc::clone(&waker),
+                Arc::clone(&posted),
+                Arc::clone(&seen),
+                Arc::clone(&stop),
+            );
+            std::thread::spawn(move || {
+                let mut poller = Poller::new(16).unwrap();
+                poller.add(waker.raw_fd(), 1, Interest::READ).unwrap();
+                let mut events = Vec::new();
+                while !stop.load(Ordering::Acquire) {
+                    events.clear();
+                    poller.wait(&mut events, None).unwrap();
+                    waker.drain();
+                    seen.store(posted.load(Ordering::Acquire), Ordering::Release);
+                }
+            })
+        };
+        let started = Instant::now();
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|_| {
+                let (waker, posted) = (Arc::clone(&waker), Arc::clone(&posted));
+                std::thread::spawn(move || {
+                    while started.elapsed() < RUN {
+                        posted.fetch_add(1, Ordering::AcqRel);
+                        waker.wake();
+                        for _ in 0..64 {
+                            std::hint::spin_loop();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().unwrap();
+        }
+        let total = posted.load(Ordering::Acquire);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while seen.load(Ordering::Acquire) < total && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let caught_up = seen.load(Ordering::Acquire) == total;
+        // Stop the reactor, bypassing a possibly stuck `armed` flag.
+        stop.store(true, Ordering::Release);
+        waker.event_fd.signal();
+        reactor.join().unwrap();
+        assert!(
+            caught_up,
+            "the reactor slept through posted work: a wake-up was lost"
+        );
+    }
+}

@@ -9,14 +9,16 @@
 //! absurd. Sticky routing (`RouteClass::Data(key)` → `key % workers`)
 //! keeps every line with the same key on one FIFO worker, so same-name
 //! requests execute in admission order even though replies come back to
-//! the reactor out of global order.
+//! the reactor out of global order. The pool keeps the service's
+//! [`NdjsonService::queue_depth`] gauge at its backlog.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+use weber_obs::Gauge;
 
 use crate::poller::Waker;
 use crate::server::{NdjsonService, Reply};
@@ -28,13 +30,10 @@ pub enum RouteClass {
     /// Sheddable request pinned to worker `key % workers`. Lines sharing
     /// a key (same entity name) execute in admission order.
     Data(u64),
-    /// Request pinned to `connection % workers` and never shed: every
-    /// line of one connection executes in admission order, reproducing a
-    /// synchronous per-connection loop. Backpressure comes from the
-    /// pipelining valve instead of shedding.
-    PerConnection,
-    /// Rare request that must never be shed; runs on worker 0 in
-    /// admission order with every other control request.
+    /// Rare request that must never be shed; runs on worker 0, alone on
+    /// its connection: the reactor dispatches it only after every earlier
+    /// line there has been answered, and frames nothing later until it
+    /// has been answered itself.
     Control,
     /// Cheap request answered synchronously on the reactor thread,
     /// bypassing the queues entirely (health probes of a saturated tier).
@@ -43,8 +42,7 @@ pub enum RouteClass {
     /// reactor thread with a [`crate::Responder`]: the service starts
     /// asynchronous work (an outbound backend exchange) and answers
     /// later through the completion channel. Never queued, never shed —
-    /// backpressure comes from the pipelining valve, exactly as for
-    /// `PerConnection` lines.
+    /// backpressure comes from the pipelining valve.
     Deferred,
 }
 
@@ -106,7 +104,7 @@ pub enum Dispatch {
 pub struct WorkerPool {
     queues: Vec<Arc<Queue>>,
     capacity: usize,
-    depth: Arc<AtomicI64>,
+    depth: Arc<Gauge>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -121,7 +119,7 @@ impl WorkerPool {
     ) -> Self {
         let workers = workers.max(1);
         let capacity = capacity.max(1);
-        let depth = Arc::new(AtomicI64::new(0));
+        let depth = service.queue_depth();
         let queues: Vec<Arc<Queue>> = (0..workers)
             .map(|_| {
                 Arc::new(Queue {
@@ -153,7 +151,7 @@ impl WorkerPool {
                             state = queue.ready.wait(state).unwrap();
                         }
                     };
-                    depth.fetch_sub(1, Ordering::Relaxed);
+                    depth.sub(1);
                     let (conn, seq, line) = job;
                     // A panicking handler must not wedge the connection:
                     // the line still gets a reply at its position.
@@ -182,7 +180,6 @@ impl WorkerPool {
         let workers = self.queues.len() as u64;
         let (index, sheddable) = match class {
             RouteClass::Data(key) => ((key % workers) as usize, true),
-            RouteClass::PerConnection => ((conn % workers) as usize, false),
             RouteClass::Control | RouteClass::Immediate | RouteClass::Deferred => (0, false),
         };
         let queue = &self.queues[index];
@@ -191,14 +188,14 @@ impl WorkerPool {
             return Dispatch::Shed;
         }
         state.jobs.push_back((conn, seq, line));
-        self.depth.fetch_add(1, Ordering::Relaxed);
+        self.depth.add(1);
         queue.ready.notify_one();
         Dispatch::Queued
     }
 
     /// Jobs queued but not yet picked up, across all workers.
     pub fn depth(&self) -> i64 {
-        self.depth.load(Ordering::Relaxed).max(0)
+        self.depth.get().max(0)
     }
 
     /// Close the queues and join every worker. Queued jobs are still
@@ -220,8 +217,13 @@ mod tests {
     use super::*;
     use std::sync::mpsc::{self, Receiver};
 
-    /// Echo service: replies with the line itself; "boom" panics.
-    struct Echo;
+    /// Echo service: replies with the line itself; "boom" panics and
+    /// "gated" waits at the gate until the test meets it there.
+    #[derive(Default)]
+    struct Echo {
+        depth: Arc<Gauge>,
+        gate: Option<Arc<std::sync::Barrier>>,
+    }
     impl NdjsonService for Echo {
         fn classify(&self, _line: &str) -> RouteClass {
             RouteClass::Data(0)
@@ -229,6 +231,9 @@ mod tests {
         fn process(&self, line: &str) -> Reply {
             if line == "boom" {
                 panic!("kaboom");
+            }
+            if line == "gated" {
+                self.gate.as_ref().unwrap().wait();
             }
             Reply {
                 line: line.to_string(),
@@ -241,13 +246,24 @@ mod tests {
         fn parse_error_reply(&self, _detail: &str) -> String {
             "parse-error".into()
         }
+        fn queue_depth(&self) -> Arc<Gauge> {
+            Arc::clone(&self.depth)
+        }
     }
 
     fn pool(workers: usize, capacity: usize) -> (WorkerPool, Receiver<Completion>, Arc<Waker>) {
+        pool_over(Echo::default(), workers, capacity)
+    }
+
+    fn pool_over(
+        echo: Echo,
+        workers: usize,
+        capacity: usize,
+    ) -> (WorkerPool, Receiver<Completion>, Arc<Waker>) {
         let (tx, rx) = mpsc::channel();
         let waker = Arc::new(Waker::new().unwrap());
         let pool = WorkerPool::start(
-            Arc::new(Echo),
+            Arc::new(echo),
             workers,
             capacity,
             CompletionSender::new(tx, Arc::clone(&waker)),
@@ -309,6 +325,37 @@ mod tests {
         assert_eq!(first.reply.line, "parse-error");
         let second = rx.recv().unwrap();
         assert_eq!(second.reply.line, "after");
+        pool.finish();
+    }
+
+    #[test]
+    fn the_service_gauge_tracks_the_backlog() {
+        let depth = Arc::new(Gauge::new());
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let (pool, rx, _waker) = pool_over(
+            Echo {
+                depth: Arc::clone(&depth),
+                gate: Some(Arc::clone(&gate)),
+            },
+            1,
+            8,
+        );
+        pool.submit(RouteClass::Data(0), 1, 0, "gated".into());
+        // Once the worker has picked up the gated line, the next three
+        // wait in its queue until the gate opens.
+        while depth.get() != 0 {
+            std::thread::yield_now();
+        }
+        for seq in 1..4u64 {
+            pool.submit(RouteClass::Data(0), 1, seq, "quick".into());
+        }
+        assert_eq!(depth.get(), 3);
+        assert_eq!(pool.depth(), 3);
+        gate.wait();
+        for _ in 0..4 {
+            rx.recv().unwrap();
+        }
+        assert_eq!(depth.get(), 0);
         pool.finish();
     }
 }

@@ -1,8 +1,17 @@
-//! The event-loop NDJSON server: one reactor thread multiplexing every
+//! The event-loop NDJSON server, the one request engine behind both
+//! `weber serve` and `weber route`: one reactor thread multiplexing every
 //! connection over epoll, a fixed worker pool executing request lines,
 //! and a reorder buffer per connection so replies always come back in
-//! the order the requests arrived — the wire contract the threaded
-//! front ends established.
+//! the order the requests arrived.
+//!
+//! # Connections
+//!
+//! [`serve`] accepts TCP clients from a listener. [`serve_stdio`] makes
+//! an input/output pair one more connection: a pump thread copies the
+//! input into one end of a Unix socketpair the reactor owns, and another
+//! copies the replies back out. Epoll cannot watch a regular file or
+//! `/dev/null`, but it can watch the socketpair, so stdio gets exactly
+//! the framing, ordering, limits and barrier rules of TCP.
 //!
 //! # Ordering and backpressure
 //!
@@ -15,49 +24,37 @@
 //! write buffer holds more than `write_high_watermark` unsent bytes
 //! (a client that never reads its replies stops being read itself).
 //!
+//! # The control barrier
+//!
+//! A [`RouteClass::Control`] line runs alone on its connection. It is
+//! dispatched only once every earlier line on that connection has been
+//! answered, and no later line is framed until it has been answered. So
+//! a `flush` really is an execution barrier, and a key-less fan-out
+//! cannot overtake an earlier keyed write still in flight.
+//!
 //! # Shutdown
 //!
-//! A shutdown line is detected at framing time: the listener closes,
-//! reads stop, in-flight work drains (bounded by `drain_grace`), queued
-//! replies flush, and the loop exits. Connections still open at that
-//! point are dropped, matching the threaded front ends.
+//! A shutdown line is detected at framing time: the listener closes and
+//! reads stop. Once its reply is produced (by the barrier, every earlier
+//! line on its connection has been answered by then), the other
+//! connections get `drain_grace` to finish their in-flight lines, queued
+//! replies flush, and the loop exits. A server without a listener also
+//! exits once its connections have all been fully served.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use weber_obs::Registry;
+use weber_obs::{Gauge, Registry};
 
 use crate::buffer::{LineFramer, WriteBuffer};
 use crate::poller::{Event, Interest, Poller, Waker};
-use crate::pool::{CompletionSender, Dispatch, RouteClass, WorkerPool};
-
-/// Which front-end implementation a CLI-selected listener runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// The epoll reactor in this crate (the default).
-    #[default]
-    Event,
-    /// The legacy thread-per-connection loop, kept as a fallback.
-    Threads,
-}
-
-impl std::str::FromStr for IoMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "event" | "epoll" => Ok(IoMode::Event),
-            "threads" | "thread" => Ok(IoMode::Threads),
-            other => Err(format!(
-                "unknown io mode '{other}' (expected 'event' or 'threads')"
-            )),
-        }
-    }
-}
+use crate::pool::{Completion, CompletionSender, Dispatch, RouteClass, WorkerPool};
 
 /// One reply line, plus whether it ends the server.
 pub struct Reply {
@@ -84,7 +81,7 @@ pub struct Responder {
 impl Responder {
     /// Deliver the reply for this line's position.
     pub fn respond(self, reply: Reply) {
-        self.sender.send(crate::pool::Completion {
+        self.sender.send(Completion {
             conn: self.conn,
             seq: self.seq,
             reply,
@@ -130,10 +127,17 @@ pub trait NdjsonService: Send + Sync + 'static {
     fn is_shutdown_line(&self, _line: &str) -> bool {
         false
     }
+
+    /// The gauge the worker pool keeps at its backlog: lines queued but
+    /// not yet picked up by a worker. A service that reports its backlog
+    /// (in `health`, say) returns its own registered gauge here.
+    fn queue_depth(&self) -> Arc<Gauge> {
+        Arc::new(Gauge::new())
+    }
 }
 
-/// Tuning for [`serve`]. `Default` suits tests; the CLI front ends build
-/// one from their flags.
+/// Tuning for [`serve`] and [`serve_stdio`]. `Default` suits tests; the
+/// CLI front ends build one from their flags.
 pub struct ServerOptions {
     /// Worker threads executing request lines.
     pub workers: usize,
@@ -153,7 +157,8 @@ pub struct ServerOptions {
     pub write_high_watermark: usize,
     /// Longest accepted request line.
     pub max_line_bytes: usize,
-    /// How long shutdown waits for in-flight lines to drain.
+    /// How long, after the shutdown line is answered, the other
+    /// connections' in-flight lines get to drain.
     pub drain_grace: Duration,
     /// Where to surface `net.*` metrics, if anywhere.
     pub registry: Option<Arc<Registry>>,
@@ -180,8 +185,59 @@ const TOKEN_WAKER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 const READ_CHUNK: usize = 16 * 1024;
 
+/// A connection's socket: an accepted TCP client, or the reactor's end
+/// of the stdio socketpair.
+enum Stream {
+    Tcp(TcpStream),
+    Unix(UnixStream),
+}
+
+impl Stream {
+    fn raw_fd(&self) -> RawFd {
+        match self {
+            Stream::Tcp(s) => s.as_raw_fd(),
+            Stream::Unix(s) => s.as_raw_fd(),
+        }
+    }
+
+    /// Switch to blocking writes bounded by `timeout`, for the final
+    /// flush after the loop has stopped.
+    fn block_with_write_timeout(&self, timeout: Duration) {
+        let _ = match self {
+            Stream::Tcp(s) => s
+                .set_nonblocking(false)
+                .and_then(|()| s.set_write_timeout(Some(timeout))),
+            Stream::Unix(s) => s
+                .set_nonblocking(false)
+                .and_then(|()| s.set_write_timeout(Some(timeout))),
+        };
+    }
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.read(buf),
+            Stream::Unix(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write(buf),
+            Stream::Unix(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 struct Conn {
-    stream: TcpStream,
+    stream: Stream,
     framer: LineFramer,
     out: WriteBuffer,
     /// Completed replies waiting for earlier sequence numbers.
@@ -190,6 +246,10 @@ struct Conn {
     next_seq: u64,
     /// Next sequence number to emit to the write buffer.
     next_emit: u64,
+    /// The `Control` line this connection is stopped at: its sequence
+    /// number and, until every earlier reply has been emitted, the line
+    /// itself. Nothing later is framed while this is set.
+    barrier: Option<(u64, Option<String>)>,
     /// Registered epoll interest, to skip redundant `EPOLL_CTL_MOD`s.
     interest: Interest,
     /// Peer sent EOF (or the frame stream is beyond repair).
@@ -198,8 +258,40 @@ struct Conn {
 }
 
 impl Conn {
+    fn new(stream: Stream, options: &ServerOptions, now: Instant) -> Self {
+        Self {
+            stream,
+            framer: LineFramer::new(options.max_line_bytes),
+            out: WriteBuffer::new(),
+            reorder: BTreeMap::new(),
+            next_seq: 0,
+            next_emit: 0,
+            barrier: None,
+            interest: Interest::READ,
+            read_closed: false,
+            last_activity: now,
+        }
+    }
+
     fn in_flight(&self) -> u64 {
         self.next_seq - self.next_emit
+    }
+
+    /// Whether another line may be framed: the frame stream is intact,
+    /// no barrier is up, and neither backpressure valve is closed.
+    fn admitting(&self, options: &ServerOptions) -> bool {
+        !self.framer.overflowed()
+            && self.barrier.is_none()
+            && self.in_flight() < options.max_pipeline as u64
+            && self.out.pending() <= options.write_high_watermark
+    }
+
+    /// Take the next sequence number, answering it right away with
+    /// `line`: the error reply for a line that could not be decoded.
+    fn answer_next(&mut self, line: String) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.reorder.insert(seq, line);
     }
 
     /// Move contiguous completed replies from the reorder buffer into
@@ -211,10 +303,12 @@ impl Conn {
         }
     }
 
-    /// Fully served: peer stopped sending, nothing in flight, nothing
-    /// left to write.
+    /// Fully served: peer stopped sending, every line it sent has been
+    /// framed, nothing in flight, nothing left to write.
     fn finished(&self) -> bool {
-        self.read_closed && self.in_flight() == 0 && self.out.is_empty()
+        self.read_closed
+            && self.drained()
+            && (self.framer.pending_bytes() == 0 || self.framer.overflowed())
     }
 
     fn drained(&self) -> bool {
@@ -223,7 +317,7 @@ impl Conn {
 }
 
 struct NetMetrics {
-    connections: Arc<weber_obs::Gauge>,
+    connections: Arc<Gauge>,
     accepted: Arc<weber_obs::Counter>,
     refused: Arc<weber_obs::Counter>,
     lines: Arc<weber_obs::Counter>,
@@ -244,20 +338,103 @@ impl NetMetrics {
     }
 }
 
-/// Run the event loop until a shutdown line arrives (or the listener
-/// dies). Returns the number of request lines admitted across all
-/// connections — the same count the threaded front ends report.
+/// Run the event loop over TCP clients accepted from `listener` until a
+/// shutdown line arrives (or the listener dies). Returns the number of
+/// request lines admitted across all connections.
 pub fn serve<S: NdjsonService>(
     service: Arc<S>,
     listener: TcpListener,
     options: ServerOptions,
 ) -> io::Result<u64> {
     listener.set_nonblocking(true)?;
-    let metrics = NetMetrics::new(options.registry.as_ref());
+    run(service, Some(listener), None, options)
+}
 
+/// Run the event loop over one connection made of `input` and `output`
+/// (in the CLI, stdin and stdout) until the input ends or a shutdown line
+/// arrives; either way every admitted line is answered first. Returns
+/// the number of request lines admitted, or the error that stopped the
+/// replies reaching `output`.
+pub fn serve_stdio<S, R, W>(
+    service: Arc<S>,
+    input: R,
+    output: W,
+    options: ServerOptions,
+) -> io::Result<u64>
+where
+    S: NdjsonService,
+    R: Read + Send + 'static,
+    W: Write + Send + 'static,
+{
+    let (ours, theirs) = UnixStream::pair()?;
+    ours.set_nonblocking(true)?;
+    let pump_in = theirs.try_clone()?;
+    // Not joined: after a shutdown line the input may stay open (an
+    // interactive terminal), and the process exits around this thread.
+    std::thread::spawn(move || pump_input(input, pump_in));
+    let pump_out = std::thread::spawn(move || pump_output(theirs, output));
+    let admitted = run(service, None, Some(Stream::Unix(ours)), options);
+    // The reactor's end is closed now, so the output pump reads to EOF.
+    let written = pump_out
+        .join()
+        .unwrap_or_else(|_| Err(io::Error::other("output pump panicked")));
+    let admitted = admitted?;
+    written?;
+    Ok(admitted)
+}
+
+/// Copy the input into the socketpair, then half-close it: the reactor
+/// reads that as the client's EOF.
+fn pump_input<R: Read>(mut input: R, mut socket: UnixStream) {
+    let _ = io::copy(&mut input, &mut socket);
+    let _ = socket.shutdown(Shutdown::Write);
+}
+
+/// Copy replies from the socketpair to the output, flushing per read so
+/// an interactive client sees each reply as it is produced.
+fn pump_output<W: Write>(mut socket: UnixStream, mut output: W) -> io::Result<()> {
+    let mut chunk = [0u8; READ_CHUNK];
+    loop {
+        let n = match socket.read(&mut chunk) {
+            Ok(0) => return Ok(()),
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if let Err(e) = output.write_all(&chunk[..n]).and_then(|()| output.flush()) {
+            // Nobody reads the replies any more: hang up both ways so the
+            // reactor drops the connection instead of serving it.
+            let _ = socket.shutdown(Shutdown::Both);
+            return Err(e);
+        }
+    }
+}
+
+/// The reactor-side state every connection shares.
+struct Engine<S: NdjsonService> {
+    service: Arc<S>,
+    pool: WorkerPool,
+    completions: CompletionSender,
+    options: ServerOptions,
+    metrics: Option<NetMetrics>,
+    /// Request lines admitted across all connections.
+    admitted: u64,
+    /// Reads have stopped for good (a shutdown line was framed).
+    shutting_down: bool,
+    /// When the drain gives up on in-flight lines; set once the shutdown
+    /// line has been answered.
+    drain_deadline: Option<Instant>,
+}
+
+fn run<S: NdjsonService>(
+    service: Arc<S>,
+    listener: Option<TcpListener>,
+    stdio: Option<Stream>,
+    options: ServerOptions,
+) -> io::Result<u64> {
     let mut poller = Poller::new(1024)?;
     let waker = Arc::new(Waker::new()?);
-    let (tx, completions): (_, Receiver<crate::pool::Completion>) = mpsc::channel();
+    let (tx, completions): (_, Receiver<Completion>) = mpsc::channel();
     let completion_sender = CompletionSender::new(tx, Arc::clone(&waker));
     let pool = WorkerPool::start(
         Arc::clone(&service),
@@ -265,24 +442,42 @@ pub fn serve<S: NdjsonService>(
         options.queue_capacity,
         completion_sender.clone(),
     );
+    let mut engine = Engine {
+        metrics: NetMetrics::new(options.registry.as_ref()),
+        service,
+        pool,
+        completions: completion_sender,
+        options,
+        admitted: 0,
+        shutting_down: false,
+        drain_deadline: None,
+    };
 
-    poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+    if let Some(listener) = &listener {
+        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+    }
     poller.add(waker.raw_fd(), TOKEN_WAKER, Interest::READ)?;
 
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = FIRST_CONN_TOKEN;
-    let mut admitted: u64 = 0;
-    let mut shutting_down = false;
-    let mut drain_deadline: Option<Instant> = None;
+    if let Some(stream) = stdio {
+        engine.register(
+            &mut poller,
+            &mut conns,
+            &mut next_token,
+            stream,
+            Instant::now(),
+        )?;
+    }
     let mut events: Vec<Event> = Vec::with_capacity(1024);
     let mut last_idle_sweep = Instant::now();
     let mut closed: Vec<u64> = Vec::new();
 
-    'reactor: loop {
+    loop {
         events.clear();
-        let timeout = if shutting_down {
+        let timeout = if engine.shutting_down {
             Some(Duration::from_millis(20))
-        } else if options.idle_timeout.is_some() {
+        } else if engine.options.idle_timeout.is_some() {
             Some(Duration::from_millis(200))
         } else {
             None
@@ -293,19 +488,15 @@ pub fn serve<S: NdjsonService>(
         for event in events.iter().copied() {
             match event.token {
                 TOKEN_LISTENER => {
-                    if shutting_down {
-                        continue;
+                    if let (Some(listener), false) = (&listener, engine.shutting_down) {
+                        engine.accept_ready(
+                            listener,
+                            &mut poller,
+                            &mut conns,
+                            &mut next_token,
+                            now,
+                        );
                     }
-                    accept_ready(
-                        &listener,
-                        &mut poller,
-                        &mut conns,
-                        &mut next_token,
-                        &options,
-                        service.as_ref(),
-                        metrics.as_ref(),
-                        now,
-                    );
                 }
                 TOKEN_WAKER => waker.drain(),
                 token => {
@@ -319,25 +510,13 @@ pub fn serve<S: NdjsonService>(
                             Err(_) => dead = true,
                         }
                     }
-                    if !dead && (event.readable || event.hangup) && !conn.read_closed {
-                        match read_and_frame(
-                            conn,
-                            token,
-                            &pool,
-                            &completion_sender,
-                            service.as_ref(),
-                            &options,
-                            &mut admitted,
-                            &mut shutting_down,
-                            metrics.as_ref(),
-                            now,
-                        ) {
-                            Ok(()) => {}
-                            Err(_) => dead = true,
-                        }
-                    } else if !dead && event.hangup && conn.out.is_empty() {
-                        // Peer is gone and nothing is owed to it.
-                        dead = conn.in_flight() == 0;
+                    if !dead && (event.readable || event.hangup) && conn.interest.readable {
+                        dead = engine.read_and_frame(conn, token, now).is_err();
+                    } else if !dead && event.hangup {
+                        // Without read interest a hangup is EPOLLHUP or
+                        // EPOLLERR, never a half-close: nothing more can
+                        // be delivered.
+                        dead = true;
                     }
                     if dead || conn.finished() {
                         closed.push(token);
@@ -346,20 +525,15 @@ pub fn serve<S: NdjsonService>(
             }
         }
 
-        drain_completions(
-            &completions,
-            &mut conns,
-            &mut shutting_down,
-            metrics.as_ref(),
-        );
+        engine.drain_completions(&completions, &mut conns);
 
         // Idle eviction, amortised to a periodic sweep.
-        if let Some(idle) = options.idle_timeout {
+        if let Some(idle) = engine.options.idle_timeout {
             if now.duration_since(last_idle_sweep) >= Duration::from_millis(200).min(idle) {
                 last_idle_sweep = now;
                 for (&token, conn) in conns.iter() {
                     if now.duration_since(conn.last_activity) >= idle && conn.in_flight() == 0 {
-                        if let Some(m) = metrics.as_ref() {
+                        if let Some(m) = engine.metrics.as_ref() {
                             m.idle_closed.inc();
                         }
                         closed.push(token);
@@ -368,45 +542,31 @@ pub fn serve<S: NdjsonService>(
             }
         }
 
-        // Recompute interest and reap finished connections. This pass
-        // also re-pumps framing: completions may have reopened the
-        // pipelining valve while decoded-but-unframed bytes sat in the
-        // framer, and a quiet socket would never re-report readable.
+        // Release barriers, recompute interest and reap finished
+        // connections. This pass also re-pumps framing: completions may
+        // have reopened a valve or lifted a barrier while complete lines
+        // sat in the framer, and a quiet socket would never re-report
+        // readable.
         for (&token, conn) in conns.iter_mut() {
-            if conn.framer.pending_bytes() > 0
-                && !conn.read_closed
-                && conn.in_flight() < options.max_pipeline as u64
-            {
-                frame_pending(
-                    conn,
-                    token,
-                    &pool,
-                    &completion_sender,
-                    service.as_ref(),
-                    &options,
-                    &mut admitted,
-                    &mut shutting_down,
-                    metrics.as_ref(),
-                );
-                conn.emit_ready();
-                if !conn.out.is_empty() && conn.out.try_flush(&mut conn.stream).is_err() {
-                    closed.push(token);
-                    continue;
-                }
+            engine.release_barrier(conn, token);
+            if conn.framer.pending_bytes() > 0 && engine.admits(conn) {
+                engine.frame_pending(conn, token);
+                engine.release_barrier(conn, token);
+            }
+            if !conn.out.is_empty() && conn.out.try_flush(&mut conn.stream).is_err() {
+                closed.push(token);
+                continue;
             }
             if conn.finished() {
                 closed.push(token);
                 continue;
             }
             let want = Interest {
-                readable: !conn.read_closed
-                    && !shutting_down
-                    && conn.in_flight() < options.max_pipeline as u64
-                    && conn.out.pending() <= options.write_high_watermark,
+                readable: engine.wants_read(conn),
                 writable: !conn.out.is_empty(),
             };
             if want != conn.interest {
-                if poller.modify(conn.stream.as_raw_fd(), token, want).is_err() {
+                if poller.modify(conn.stream.raw_fd(), token, want).is_err() {
                     closed.push(token);
                 } else {
                     conn.interest = want;
@@ -418,38 +578,43 @@ pub fn serve<S: NdjsonService>(
             closed.dedup();
             for token in closed.drain(..) {
                 if conns.remove(&token).is_some() {
-                    if let Some(m) = metrics.as_ref() {
+                    if let Some(m) = engine.metrics.as_ref() {
                         m.connections.sub(1);
                     }
                 }
             }
         }
 
-        if shutting_down {
-            let deadline =
-                *drain_deadline.get_or_insert_with(|| Instant::now() + options.drain_grace);
-            let all_drained = pool.depth() == 0 && conns.values().all(Conn::drained);
-            if all_drained || Instant::now() >= deadline {
-                break 'reactor;
+        if listener.is_none() && conns.is_empty() {
+            break;
+        }
+        if engine.shutting_down {
+            let all_drained = engine.pool.depth() == 0 && conns.values().all(Conn::drained);
+            let expired = engine.drain_deadline.is_some_and(|d| Instant::now() >= d);
+            if all_drained || expired {
+                break;
             }
         }
     }
 
     drop(listener);
+    let Engine {
+        pool,
+        metrics,
+        admitted,
+        ..
+    } = engine;
     pool.finish();
     // Flush any replies that completed during the final drain window.
-    drain_completions(
-        &completions,
-        &mut conns,
-        &mut shutting_down,
-        metrics.as_ref(),
-    );
+    while let Ok(completion) = completions.try_recv() {
+        if let Some(conn) = conns.get_mut(&completion.conn) {
+            conn.reorder.insert(completion.seq, completion.reply.line);
+        }
+    }
     for conn in conns.values_mut() {
         conn.emit_ready();
-        let _ = conn.stream.set_nonblocking(false);
-        let _ = conn
-            .stream
-            .set_write_timeout(Some(Duration::from_millis(500)));
+        conn.stream
+            .block_with_write_timeout(Duration::from_millis(500));
         let _ = conn.out.try_flush(&mut conn.stream);
     }
     if let Some(m) = metrics.as_ref() {
@@ -458,267 +623,237 @@ pub fn serve<S: NdjsonService>(
     Ok(admitted)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn accept_ready<S: NdjsonService>(
-    listener: &TcpListener,
-    poller: &mut Poller,
-    conns: &mut HashMap<u64, Conn>,
-    next_token: &mut u64,
-    options: &ServerOptions,
-    service: &S,
-    metrics: Option<&NetMetrics>,
-    now: Instant,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if conns.len() >= options.max_connections {
-                    refuse(stream, service, metrics);
-                    continue;
+impl<S: NdjsonService> Engine<S> {
+    /// Whether `conn` may frame another line now.
+    fn admits(&self, conn: &Conn) -> bool {
+        !self.shutting_down && conn.admitting(&self.options)
+    }
+
+    /// Whether `conn` should be read: it admits lines and has not hit EOF.
+    fn wants_read(&self, conn: &Conn) -> bool {
+        !conn.read_closed && self.admits(conn)
+    }
+
+    fn register(
+        &self,
+        poller: &mut Poller,
+        conns: &mut HashMap<u64, Conn>,
+        next_token: &mut u64,
+        stream: Stream,
+        now: Instant,
+    ) -> io::Result<()> {
+        let token = *next_token;
+        *next_token += 1;
+        poller.add(stream.raw_fd(), token, Interest::READ)?;
+        conns.insert(token, Conn::new(stream, &self.options, now));
+        if let Some(m) = self.metrics.as_ref() {
+            m.connections.add(1);
+        }
+        Ok(())
+    }
+
+    fn accept_ready(
+        &self,
+        listener: &TcpListener,
+        poller: &mut Poller,
+        conns: &mut HashMap<u64, Conn>,
+        next_token: &mut u64,
+        now: Instant,
+    ) {
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    if conns.len() >= self.options.max_connections {
+                        self.refuse(stream);
+                        continue;
+                    }
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let _ = stream.set_nodelay(true);
+                    if self
+                        .register(poller, conns, next_token, Stream::Tcp(stream), now)
+                        .is_ok()
+                    {
+                        if let Some(m) = self.metrics.as_ref() {
+                            m.accepted.inc();
+                        }
+                    }
                 }
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let token = *next_token;
-                *next_token += 1;
-                if poller
-                    .add(stream.as_raw_fd(), token, Interest::READ)
-                    .is_err()
-                {
-                    continue;
-                }
-                conns.insert(
-                    token,
-                    Conn {
-                        stream,
-                        framer: LineFramer::new(options.max_line_bytes),
-                        out: WriteBuffer::new(),
-                        reorder: BTreeMap::new(),
-                        next_seq: 0,
-                        next_emit: 0,
-                        interest: Interest::READ,
-                        read_closed: false,
-                        last_activity: now,
-                    },
-                );
-                if let Some(m) = metrics {
-                    m.accepted.inc();
-                    m.connections.add(1);
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                // Out of fds or a transient accept failure: leave the rest
+                // in the backlog; level-triggered epoll re-reports them.
+                Err(_) => break,
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            // Out of fds or a transient accept failure: leave the rest
-            // in the backlog; level-triggered epoll re-reports them.
-            Err(_) => break,
         }
     }
-}
 
-/// One `overloaded` line, then close — the contract over-cap clients see.
-fn refuse<S: NdjsonService>(mut stream: TcpStream, service: &S, metrics: Option<&NetMetrics>) {
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-    let _ = stream.write_all(format!("{}\n", service.overloaded_reply()).as_bytes());
-    let _ = stream.flush();
-    if let Some(m) = metrics {
-        m.refused.inc();
-    }
-}
-
-/// Pull bytes off a readable socket, frame complete lines, and dispatch
-/// them. Returns `Err` only when the connection must close immediately.
-#[allow(clippy::too_many_arguments)]
-fn read_and_frame<S: NdjsonService>(
-    conn: &mut Conn,
-    token: u64,
-    pool: &WorkerPool,
-    completions: &CompletionSender,
-    service: &S,
-    options: &ServerOptions,
-    admitted: &mut u64,
-    shutting_down: &mut bool,
-    metrics: Option<&NetMetrics>,
-    now: Instant,
-) -> io::Result<()> {
-    let mut chunk = [0u8; READ_CHUNK];
-    loop {
-        // Respect the pipelining valve even within one readable burst.
-        if conn.in_flight() >= options.max_pipeline as u64
-            || conn.out.pending() > options.write_high_watermark
-        {
-            break;
+    /// One `overloaded` line, then close — the contract over-cap clients
+    /// see.
+    fn refuse(&self, mut stream: TcpStream) {
+        let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
+        let _ = stream.write_all(format!("{}\n", self.service.overloaded_reply()).as_bytes());
+        let _ = stream.flush();
+        if let Some(m) = self.metrics.as_ref() {
+            m.refused.inc();
         }
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
+    }
+
+    /// Pull bytes off a readable socket, frame complete lines, and
+    /// dispatch them. Returns `Err` only when the connection must close
+    /// immediately.
+    fn read_and_frame(&mut self, conn: &mut Conn, token: u64, now: Instant) -> io::Result<()> {
+        let mut chunk = [0u8; READ_CHUNK];
+        // Respect the valves and the barrier even within one readable
+        // burst.
+        while self.wants_read(conn) {
+            match conn.stream.read(&mut chunk) {
+                Ok(0) => {
+                    // A last line without its newline still counts.
+                    if conn.framer.pending_bytes() > 0 {
+                        conn.framer.push(b"\n");
+                    }
+                    conn.read_closed = true;
+                }
+                Ok(n) => {
+                    conn.last_activity = now;
+                    conn.framer.push(&chunk[..n]);
+                    self.frame_pending(conn, token);
+                    if conn.framer.overflowed() && !conn.read_closed {
+                        // A partial line outgrew the cap with no newline
+                        // in sight: the frame boundary is lost. Answer
+                        // once and hang up.
+                        conn.answer_next(self.service.parse_error_reply("request line too long"));
+                        conn.read_closed = true;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        self.frame_pending(conn, token);
+        self.release_barrier(conn, token);
+        if !conn.out.is_empty() && conn.out.try_flush(&mut conn.stream).is_err() {
+            return Err(io::Error::from(io::ErrorKind::BrokenPipe));
+        }
+        Ok(())
+    }
+
+    /// Frame and dispatch as many buffered lines as the valves and the
+    /// barrier allow.
+    fn frame_pending(&mut self, conn: &mut Conn, token: u64) {
+        while self.admits(conn) {
+            let Some(raw) = conn.framer.next_line() else {
+                break;
+            };
+            if conn.framer.overflowed() {
+                // A complete line arrived but blew the size cap: answer at
+                // its position and stop reading this connection.
+                self.admitted += 1;
+                conn.answer_next(self.service.parse_error_reply("request line too long"));
                 conn.read_closed = true;
                 break;
             }
-            Ok(n) => {
-                conn.last_activity = now;
-                conn.framer.push(&chunk[..n]);
-                frame_pending(
-                    conn,
-                    token,
-                    pool,
-                    completions,
-                    service,
-                    options,
-                    admitted,
-                    shutting_down,
-                    metrics,
-                );
-                if conn.framer.overflowed() && !conn.read_closed {
-                    // A partial line outgrew the cap with no newline in
-                    // sight: the frame boundary is lost. Answer once and
-                    // hang up.
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    conn.reorder
-                        .insert(seq, service.parse_error_reply("request line too long"));
-                    conn.read_closed = true;
-                    break;
-                }
-                if conn.read_closed || *shutting_down {
-                    break;
-                }
+            let Ok(line) = String::from_utf8(raw) else {
+                // Undecodable line: it still occupies a reply position.
+                self.admitted += 1;
+                conn.answer_next(self.service.parse_error_reply("request is not valid UTF-8"));
+                continue;
+            };
+            if line.trim().is_empty() {
+                continue; // blank keep-alives are skipped, not counted
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    frame_pending(
-        conn,
-        token,
-        pool,
-        completions,
-        service,
-        options,
-        admitted,
-        shutting_down,
-        metrics,
-    );
-    conn.emit_ready();
-    if !conn.out.is_empty() && conn.out.try_flush(&mut conn.stream).is_err() {
-        return Err(io::Error::from(io::ErrorKind::BrokenPipe));
-    }
-    Ok(())
-}
-
-/// Frame and dispatch as many buffered lines as the pipelining valve
-/// allows.
-#[allow(clippy::too_many_arguments)]
-fn frame_pending<S: NdjsonService>(
-    conn: &mut Conn,
-    token: u64,
-    pool: &WorkerPool,
-    completions: &CompletionSender,
-    service: &S,
-    options: &ServerOptions,
-    admitted: &mut u64,
-    shutting_down: &mut bool,
-    metrics: Option<&NetMetrics>,
-) {
-    while conn.in_flight() < options.max_pipeline as u64 && !conn.read_closed {
-        if conn.framer.overflowed() {
-            break;
-        }
-        let Some(raw) = conn.framer.next_line() else {
-            break;
-        };
-        if conn.framer.overflowed() {
-            // A complete line arrived but blew the size cap: answer at
-            // its position and stop reading this connection.
-            *admitted += 1;
+            self.admitted += 1;
+            if let Some(m) = self.metrics.as_ref() {
+                m.lines.inc();
+            }
+            if self.service.is_shutdown_line(&line) {
+                self.shutting_down = true;
+            }
             let seq = conn.next_seq;
             conn.next_seq += 1;
-            conn.reorder
-                .insert(seq, service.parse_error_reply("request line too long"));
-            conn.read_closed = true;
-            break;
-        }
-        let line = match String::from_utf8(raw) {
-            Ok(line) => line,
-            Err(_) => {
-                // Undecodable line: it still occupies a reply position.
-                *admitted += 1;
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                conn.reorder
-                    .insert(seq, service.parse_error_reply("request is not valid UTF-8"));
-                continue;
-            }
-        };
-        if line.trim().is_empty() {
-            continue; // blank keep-alives are skipped, not counted
-        }
-        *admitted += 1;
-        if let Some(m) = metrics {
-            m.lines.inc();
-        }
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        if service.is_shutdown_line(&line) {
-            *shutting_down = true;
-        }
-        match service.classify(&line) {
-            RouteClass::Immediate => {
-                let reply = service.process(&line);
-                if reply.shutdown {
-                    *shutting_down = true;
+            match self.service.classify(&line) {
+                RouteClass::Immediate => {
+                    let reply = self.service.process(&line);
+                    self.note_reply(&reply);
+                    conn.reorder.insert(seq, reply.line);
                 }
-                conn.reorder.insert(seq, reply.line);
-            }
-            RouteClass::Deferred => {
-                // The line's reply slot travels with the responder; the
-                // service answers through the completion channel when its
-                // outbound work finishes.
-                service.process_deferred(
-                    &line,
-                    Responder {
-                        sender: completions.clone(),
-                        conn: token,
-                        seq,
-                    },
-                );
-            }
-            class => match pool.submit(class, token, seq, line) {
-                Dispatch::Queued => {}
-                Dispatch::Shed => {
-                    if let Some(m) = metrics {
-                        m.shed.inc();
+                RouteClass::Deferred => {
+                    // The line's reply slot travels with the responder;
+                    // the service answers through the completion channel
+                    // when its outbound work finishes.
+                    self.service.process_deferred(
+                        &line,
+                        Responder {
+                            sender: self.completions.clone(),
+                            conn: token,
+                            seq,
+                        },
+                    );
+                }
+                RouteClass::Control => {
+                    // Dispatched by `release_barrier` once every earlier
+                    // reply has been emitted.
+                    conn.barrier = Some((seq, Some(line)));
+                }
+                class @ RouteClass::Data(_) => {
+                    if self.pool.submit(class, token, seq, line) == Dispatch::Shed {
+                        if let Some(m) = self.metrics.as_ref() {
+                            m.shed.inc();
+                        }
+                        conn.reorder.insert(seq, self.service.overloaded_reply());
                     }
-                    conn.reorder.insert(seq, service.overloaded_reply());
                 }
-            },
-        }
-        if *shutting_down {
-            break;
+            }
         }
     }
-}
 
-/// Move completed replies into their connections' reorder buffers and
-/// flush whatever became contiguous.
-fn drain_completions(
-    completions: &Receiver<crate::pool::Completion>,
-    conns: &mut HashMap<u64, Conn>,
-    shutting_down: &mut bool,
-    metrics: Option<&NetMetrics>,
-) {
-    let _ = metrics;
-    while let Ok(completion) = completions.try_recv() {
-        if completion.reply.shutdown {
-            *shutting_down = true;
+    /// Emit what is ready, then advance `conn`'s barrier: dispatch the
+    /// held `Control` line once it is next in line, and lift the barrier
+    /// once its reply has been emitted.
+    fn release_barrier(&self, conn: &mut Conn, token: u64) {
+        conn.emit_ready();
+        let Some((seq, held)) = conn.barrier.as_mut() else {
+            return;
+        };
+        if conn.next_emit > *seq {
+            conn.barrier = None;
+        } else if conn.next_emit == *seq {
+            if let Some(line) = held.take() {
+                self.pool.submit(RouteClass::Control, token, *seq, line);
+            }
         }
-        if let Some(conn) = conns.get_mut(&completion.conn) {
-            conn.reorder.insert(completion.seq, completion.reply.line);
-            conn.emit_ready();
-            if !conn.out.is_empty() {
-                // Opportunistic flush; WouldBlock leaves bytes
-                // queued and the interest pass arms EPOLLOUT.
-                let _ = conn.out.try_flush(&mut conn.stream);
+    }
+
+    /// Note a reply on its way out: a shutdown reply starts the drain
+    /// clock.
+    fn note_reply(&mut self, reply: &Reply) {
+        if reply.shutdown {
+            self.shutting_down = true;
+            self.drain_deadline
+                .get_or_insert_with(|| Instant::now() + self.options.drain_grace);
+        }
+    }
+
+    /// Move completed replies into their connections' reorder buffers and
+    /// flush whatever became contiguous.
+    fn drain_completions(
+        &mut self,
+        completions: &Receiver<Completion>,
+        conns: &mut HashMap<u64, Conn>,
+    ) {
+        while let Ok(completion) = completions.try_recv() {
+            self.note_reply(&completion.reply);
+            if let Some(conn) = conns.get_mut(&completion.conn) {
+                conn.reorder.insert(completion.seq, completion.reply.line);
+                conn.emit_ready();
+                if !conn.out.is_empty() {
+                    // Opportunistic flush; WouldBlock leaves bytes queued
+                    // and the interest pass arms EPOLLOUT.
+                    let _ = conn.out.try_flush(&mut conn.stream);
+                }
             }
         }
     }
@@ -727,31 +862,44 @@ fn drain_completions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader};
+    use std::io::{BufRead, BufReader, Cursor};
     use std::net::TcpStream as ClientStream;
+    use std::sync::Mutex;
 
-    /// Uppercases lines; `{"op":"shutdown"}` ends the server; "slow"
-    /// sleeps to create reordering pressure across keys.
-    struct Upper;
+    /// Uppercases lines and logs when each starts and ends. A line's
+    /// first word picks its class: `ctl` and `shutdown` are `Control`,
+    /// `health` is `Immediate`, `dK` is `Data(K)`, anything else is
+    /// `Data(length)`. Lines containing `slow` take 200 ms.
+    #[derive(Default)]
+    struct Upper {
+        log: Mutex<Vec<String>>,
+    }
+    impl Upper {
+        fn log(&self) -> Vec<String> {
+            self.log.lock().unwrap().clone()
+        }
+    }
     impl NdjsonService for Upper {
         fn classify(&self, line: &str) -> RouteClass {
-            if line.contains("health") {
-                RouteClass::Immediate
-            } else if line.contains("shutdown") {
-                RouteClass::Control
-            } else {
-                // Spread by length so different lines land on different
-                // workers, exercising the reorder buffer.
-                RouteClass::Data(line.len() as u64)
+            let first = line.split(' ').next().unwrap_or("");
+            match first {
+                "health" => RouteClass::Immediate,
+                "ctl" | "shutdown" => RouteClass::Control,
+                _ => match first.strip_prefix('d').and_then(|k| k.parse().ok()) {
+                    Some(key) => RouteClass::Data(key),
+                    None => RouteClass::Data(line.len() as u64),
+                },
             }
         }
         fn process(&self, line: &str) -> Reply {
+            self.log.lock().unwrap().push(format!("start {line}"));
             if line.contains("slow") {
-                std::thread::sleep(Duration::from_millis(30));
+                std::thread::sleep(Duration::from_millis(200));
             }
+            self.log.lock().unwrap().push(format!("end {line}"));
             Reply {
                 line: line.to_uppercase(),
-                shutdown: line.contains("shutdown"),
+                shutdown: line == "shutdown",
             }
         }
         fn overloaded_reply(&self) -> String {
@@ -761,42 +909,140 @@ mod tests {
             format!("error:{detail}")
         }
         fn is_shutdown_line(&self, line: &str) -> bool {
-            line.contains("shutdown")
+            line == "shutdown"
         }
     }
 
-    fn start(options: ServerOptions) -> (std::net::SocketAddr, std::thread::JoinHandle<u64>) {
+    fn start(
+        options: ServerOptions,
+    ) -> (
+        std::net::SocketAddr,
+        Arc<Upper>,
+        std::thread::JoinHandle<u64>,
+    ) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || serve(Arc::new(Upper), listener, options).unwrap());
-        (addr, handle)
+        let service = Arc::new(Upper::default());
+        let handle = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || serve(service, listener, options).unwrap())
+        };
+        (addr, service, handle)
+    }
+
+    fn read_lines(reader: &mut impl BufRead, n: usize) -> Vec<String> {
+        (0..n)
+            .map(|_| {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                line.trim().to_string()
+            })
+            .collect()
+    }
+
+    /// A cloneable in-memory output for the stdio tests.
+    #[derive(Clone, Default)]
+    struct SharedOutput(Arc<Mutex<Vec<u8>>>);
+    impl Write for SharedOutput {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+    impl SharedOutput {
+        fn lines(&self) -> Vec<String> {
+            String::from_utf8(self.0.lock().unwrap().clone())
+                .unwrap()
+                .lines()
+                .map(str::to_string)
+                .collect()
+        }
+    }
+
+    fn run_stdio(input: &[u8], options: ServerOptions) -> (io::Result<u64>, Vec<String>) {
+        let output = SharedOutput::default();
+        let admitted = serve_stdio(
+            Arc::new(Upper::default()),
+            Cursor::new(input.to_vec()),
+            output.clone(),
+            options,
+        );
+        (admitted, output.lines())
     }
 
     #[test]
     fn pipelined_replies_come_back_in_request_order() {
-        let (addr, handle) = start(ServerOptions::default());
+        let (addr, _, handle) = start(ServerOptions::default());
         let mut client = ClientStream::connect(addr).unwrap();
         // One slow line first: its reply must still come back first.
         client
             .write_all(b"slow alpha\nbeta\ngamma\ndelta omega\n")
             .unwrap();
         let mut reader = BufReader::new(client.try_clone().unwrap());
-        let mut lines = Vec::new();
-        for _ in 0..4 {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            lines.push(line.trim().to_string());
-        }
-        assert_eq!(lines, ["SLOW ALPHA", "BETA", "GAMMA", "DELTA OMEGA"]);
-        client.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
+        assert_eq!(
+            read_lines(&mut reader, 4),
+            ["SLOW ALPHA", "BETA", "GAMMA", "DELTA OMEGA"]
+        );
+        client.write_all(b"shutdown\n").unwrap();
+        assert_eq!(read_lines(&mut reader, 1), ["SHUTDOWN"]);
         assert_eq!(handle.join().unwrap(), 5);
     }
 
     #[test]
+    fn a_control_line_waits_for_a_slow_earlier_data_line() {
+        // The slow data line runs on worker 1; the control line goes to
+        // worker 0, which is idle, yet must not start before it ends.
+        let (addr, service, handle) = start(ServerOptions {
+            workers: 2,
+            ..ServerOptions::default()
+        });
+        let mut client = ClientStream::connect(addr).unwrap();
+        client.write_all(b"d1 slow\nctl\n").unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        assert_eq!(read_lines(&mut reader, 2), ["D1 SLOW", "CTL"]);
+        assert_eq!(
+            service.log(),
+            ["start d1 slow", "end d1 slow", "start ctl", "end ctl"]
+        );
+        client.write_all(b"shutdown\n").unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_later_line_does_not_start_before_the_control_line_is_answered() {
+        // The slow control line runs on worker 0; the data line after it
+        // belongs to idle worker 1 and must still wait for it.
+        let (addr, service, handle) = start(ServerOptions {
+            workers: 2,
+            ..ServerOptions::default()
+        });
+        let mut client = ClientStream::connect(addr).unwrap();
+        client.write_all(b"ctl slow\nd1 after\nhealth\n").unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        assert_eq!(
+            read_lines(&mut reader, 3),
+            ["CTL SLOW", "D1 AFTER", "HEALTH"]
+        );
+        let log = service.log();
+        let position = |entry: &str| log.iter().position(|l| l == entry).unwrap();
+        assert!(
+            position("end ctl slow") < position("start d1 after"),
+            "{log:?}"
+        );
+        assert!(
+            position("end ctl slow") < position("start health"),
+            "{log:?}"
+        );
+        client.write_all(b"shutdown\n").unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
     fn byte_at_a_time_clients_still_get_framed() {
-        let (addr, handle) = start(ServerOptions::default());
+        let (addr, _, handle) = start(ServerOptions::default());
         let mut client = ClientStream::connect(addr).unwrap();
         for b in b"trickle\n" {
             client.write_all(&[*b]).unwrap();
@@ -804,44 +1050,38 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         let mut reader = BufReader::new(client.try_clone().unwrap());
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim(), "TRICKLE");
-        client.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+        assert_eq!(read_lines(&mut reader, 1), ["TRICKLE"]);
+        client.write_all(b"shutdown\n").unwrap();
         handle.join().unwrap();
     }
 
     #[test]
     fn over_cap_connections_get_one_overloaded_line() {
-        let options = ServerOptions {
+        let (addr, _, handle) = start(ServerOptions {
             max_connections: 1,
             ..ServerOptions::default()
-        };
-        let (addr, handle) = start(options);
+        });
         let first = ClientStream::connect(addr).unwrap();
         // Make sure the reactor registered the first connection before
         // the second arrives.
         std::thread::sleep(Duration::from_millis(50));
         let second = ClientStream::connect(addr).unwrap();
         let mut reader = BufReader::new(second);
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim(), "overloaded");
+        assert_eq!(read_lines(&mut reader, 1), ["overloaded"]);
         // ...and the socket closes right after.
-        line.clear();
+        let mut line = String::new();
         assert_eq!(reader.read_line(&mut line).unwrap(), 0);
         let mut first = first;
-        first.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+        first.write_all(b"shutdown\n").unwrap();
         handle.join().unwrap();
     }
 
     #[test]
     fn idle_connections_are_evicted() {
-        let options = ServerOptions {
+        let (addr, _, handle) = start(ServerOptions {
             idle_timeout: Some(Duration::from_millis(150)),
             ..ServerOptions::default()
-        };
-        let (addr, handle) = start(options);
+        });
         let idle = ClientStream::connect(addr).unwrap();
         let mut reader = BufReader::new(idle);
         let mut line = String::new();
@@ -849,26 +1089,86 @@ mod tests {
         let n = reader.read_line(&mut line).unwrap();
         assert_eq!(n, 0, "expected eviction EOF, got {line:?}");
         let mut closer = ClientStream::connect(addr).unwrap();
-        closer.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+        closer.write_all(b"shutdown\n").unwrap();
         handle.join().unwrap();
     }
 
     #[test]
     fn invalid_utf8_lines_get_positional_errors() {
-        let (addr, handle) = start(ServerOptions::default());
+        let (addr, _, handle) = start(ServerOptions::default());
         let mut client = ClientStream::connect(addr).unwrap();
         client.write_all(b"ok1\n\xff\xfe\xfd\nok2\n").unwrap();
         let mut reader = BufReader::new(client.try_clone().unwrap());
-        let mut lines = Vec::new();
-        for _ in 0..3 {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            lines.push(line.trim().to_string());
-        }
+        let lines = read_lines(&mut reader, 3);
         assert_eq!(lines[0], "OK1");
         assert!(lines[1].starts_with("error:"), "got {:?}", lines[1]);
         assert_eq!(lines[2], "OK2");
-        client.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+        client.write_all(b"shutdown\n").unwrap();
         assert_eq!(handle.join().unwrap(), 4);
+    }
+
+    #[test]
+    fn stdio_answers_every_line_in_order_then_returns_at_eof() {
+        // Blank lines are skipped, a bad line is answered in place, and a
+        // last line without its newline still counts.
+        let (admitted, lines) = run_stdio(
+            b"slow first\n\nd1 second\n\xff\xfe\nctl\nlast",
+            ServerOptions::default(),
+        );
+        assert_eq!(admitted.unwrap(), 5);
+        assert_eq!(lines.len(), 5, "{lines:?}");
+        assert_eq!(lines[..2], ["SLOW FIRST", "D1 SECOND"]);
+        assert!(lines[2].starts_with("error:"), "{lines:?}");
+        assert_eq!(lines[3..], ["CTL", "LAST"]);
+    }
+
+    #[test]
+    fn stdio_shutdown_answers_earlier_lines_and_admits_nothing_after() {
+        let (admitted, lines) = run_stdio(
+            b"d1 slow\nshutdown\nnever admitted\n",
+            ServerOptions::default(),
+        );
+        assert_eq!(admitted.unwrap(), 2);
+        assert_eq!(lines, ["D1 SLOW", "SHUTDOWN"]);
+    }
+
+    #[test]
+    fn stdio_over_long_line_is_answered_and_ends_the_input() {
+        let (admitted, lines) = run_stdio(
+            b"short\nthis line is far too long\nnot read\n",
+            ServerOptions {
+                max_line_bytes: 8,
+                ..ServerOptions::default()
+            },
+        );
+        assert_eq!(admitted.unwrap(), 2);
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert_eq!(lines[0], "SHORT");
+        assert_eq!(lines[1], "error:request line too long");
+    }
+
+    #[test]
+    fn stdio_dead_output_is_reported_not_hung_on() {
+        /// Output that fails every write, like a closed pipe.
+        struct Dead;
+        impl Write for Dead {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::new(io::ErrorKind::BrokenPipe, "reader gone"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let input: Vec<u8> = (0..200)
+            .flat_map(|i| format!("line {i}\n").into_bytes())
+            .collect();
+        let result = serve_stdio(
+            Arc::new(Upper::default()),
+            Cursor::new(input),
+            Dead,
+            ServerOptions::default(),
+        );
+        let err = result.unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
     }
 }

@@ -37,8 +37,8 @@
 //!   persists its names to the shared state directory first, then the new
 //!   replica sets restore them lazily on their next touch.
 //!
-//! The front end ([`front`]) serves stdin/stdout or TCP with the same
-//! concurrency and shutdown model as `weber serve`. Everything is
+//! The front end ([`front`]) serves stdin/stdout or TCP on the same
+//! `weber-net` reactor as `weber serve`. Everything is
 //! instrumented through `weber-obs`; the `metrics` op merges every
 //! backend's snapshot (namespaced `shard<i>.`) with the router's own
 //! counters, gauges and latency histograms.
@@ -50,12 +50,9 @@ pub mod pool;
 pub mod ring;
 pub mod router;
 
-pub use front::{
-    route_listener, route_listener_with, route_stdio, route_tcp, route_tcp_with, FrontOptions,
-};
+pub use front::{route_listener, route_listener_with, route_stdio, route_tcp_with, FrontOptions};
 pub use health::HealthState;
 pub use merge::{snapshot_from_wire, ShardOutcome};
 pub use pool::{ExchangeCallback, ExchangeResult, OutboundPool, Phase, PoolOptions};
 pub use ring::{fnv1a, HashRing};
 pub use router::{spawn_prober, LineOutcome, Prober, Router, RouterError, RouterOptions};
-pub use weber_net::IoMode;

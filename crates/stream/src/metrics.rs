@@ -40,7 +40,8 @@ pub struct StreamMetrics {
     pub restores: Arc<Counter>,
     /// Name records written to the state directory.
     pub persists: Arc<Counter>,
-    /// Requests currently sitting in the service's admission queues.
+    /// Request lines queued for a worker and not yet picked up, kept by
+    /// the `weber-net` worker pool.
     pub queue_depth: Arc<Gauge>,
     /// Wall time of one entity-table materialization (constraint-aware
     /// splitting + stable-ID matching + `SAME_AS` unions), µs.

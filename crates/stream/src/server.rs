@@ -1,64 +1,52 @@
-//! The `weber serve` daemon: NDJSON over stdin/stdout or a TCP socket.
+//! The `weber serve` daemon: NDJSON over stdin/stdout or a TCP socket,
+//! both on the `weber-net` reactor.
 //!
-//! The TCP front end defaults to the `weber-net` epoll reactor
-//! ([`IoMode::Event`]): one acceptor/reactor thread multiplexes every
-//! connection, a small worker pool shared by all clients executes request
-//! lines (sticky-routed by name, exactly like
-//! [`StreamService`](crate::service::StreamService) routes its queues),
-//! and a per-connection reorder buffer keeps replies in request order.
-//! That holds tens of thousands of mostly-idle persistent connections on
-//! a handful of threads. `health` probes are answered on the reactor
-//! thread itself, bypassing the queues; data-plane lines shed with an
-//! `overloaded` reply when their worker queue is full; control-plane
-//! lines never shed.
+//! [`ResolverService`] puts a [`StreamResolver`] behind the reactor.
+//! Named ops stick to worker `hash(name) % workers`, so same-name
+//! requests execute in admission order while different names proceed in
+//! parallel; data-plane lines shed with an `overloaded` reply when their
+//! worker queue is full. Name-less ops (`snapshot`, `metrics`, `persist`,
+//! `restore`, `flush`, `shutdown`, name-less `entities`) are never shed
+//! and run alone on their connection, so a `flush` reply proves every
+//! earlier request on that connection has executed. `health` and
+//! malformed lines are answered on the reactor thread itself, so a probe
+//! never waits behind the backlog it is measuring. The reactor's worker
+//! pool keeps `stream.queue_depth`, which `health` reports, at that
+//! backlog.
 //!
-//! [`IoMode::Threads`] keeps the legacy model — one handler thread per
-//! client, each with its own `StreamService` — as a fallback. In both
-//! modes the wire contract is identical: one reply line per request
-//! line, in request order; over-cap clients get one `overloaded` line
-//! and a close; any client sending `shutdown` drains the daemon.
-//!
-//! The stdio front end ([`serve_stdio`]) still runs the classic
-//! single-connection read loop.
+//! Over TCP ([`serve_listener`]) one reactor thread multiplexes every
+//! client, with the wire contract of PROTOCOL.md: one reply line per
+//! request line, in request order; over-cap clients get one `overloaded`
+//! line and a close; any client sending `shutdown` drains the daemon.
+//! Over stdio ([`serve_stdio`]) stdin/stdout is one more reactor
+//! connection with the same framing and ordering.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use weber_net::{IoMode, RouteClass, ServerOptions};
+use weber_net::{RouteClass, ServerOptions};
+use weber_obs::Gauge;
 
 use crate::error::StreamError;
 use crate::protocol::{self, Request};
 use crate::resolver::StreamResolver;
-use crate::service::StreamService;
-
-/// How often blocked reads and the acceptor wake up to check the shared
-/// shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-/// Per-connection socket read timeout; bounds how long a shutdown can
-/// wait on an idle connection.
-const READ_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Tuning knobs of the TCP front end.
 #[derive(Debug, Clone)]
 pub struct TcpOptions {
-    /// Worker threads executing request lines (shared by every
-    /// connection in event mode, per connection in threads mode).
+    /// Worker threads executing request lines, shared by every
+    /// connection.
     pub workers: usize,
     /// Admission-queue capacity per worker.
     pub queue_capacity: usize,
     /// Maximum simultaneous client connections; clients beyond the cap
     /// are answered with an `overloaded` error line and closed.
     pub max_connections: usize,
-    /// Which front-end implementation to run.
-    pub io: IoMode,
-    /// Evict connections silent for this long (event mode only). `None`
-    /// never evicts.
+    /// Evict connections silent for this long. `None` never evicts.
     pub idle_timeout: Option<Duration>,
     /// Lines admitted but unanswered per connection before its reads
-    /// pause (event mode only).
+    /// pause.
     pub max_pipeline: usize,
 }
 
@@ -68,47 +56,32 @@ impl Default for TcpOptions {
             workers: 2,
             queue_capacity: 64,
             max_connections: 64,
-            io: IoMode::Event,
             idle_timeout: None,
             max_pipeline: 256,
         }
     }
 }
 
-/// What one connection's read loop did.
-struct ConnectionOutcome {
-    /// Requests admitted on this connection.
-    admitted: u64,
-    /// Whether this connection requested daemon shutdown.
-    saw_shutdown: bool,
-    /// The connection-level I/O error that ended the loop, if any. Every
-    /// request admitted before the error was still processed.
-    error: Option<std::io::Error>,
-}
-
-/// Serve NDJSON over stdin/stdout until EOF or `shutdown`. Returns the
-/// number of requests admitted.
+/// Serve NDJSON over stdin/stdout until EOF or `shutdown`, answering
+/// every admitted request first. Returns the number of requests
+/// admitted.
 pub fn serve_stdio(
     resolver: Arc<StreamResolver>,
     workers: usize,
     queue_capacity: usize,
 ) -> std::io::Result<u64> {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let outcome = run_connection(
-        resolver,
-        stdin.lock(),
-        &mut out,
-        workers,
-        queue_capacity,
-        None,
-    );
-    if let Some(e) = outcome.error {
-        return Err(e);
-    }
-    out.flush()?;
-    Ok(outcome.admitted)
+    let registry = Arc::clone(resolver.metrics().registry());
+    weber_net::serve_stdio(
+        Arc::new(ResolverService { resolver }),
+        std::io::stdin(),
+        std::io::stdout(),
+        ServerOptions {
+            workers,
+            queue_capacity,
+            registry: Some(registry),
+            ..ServerOptions::default()
+        },
+    )
 }
 
 /// Bind `addr` and serve clients concurrently (see the module docs for
@@ -125,30 +98,35 @@ pub fn serve_tcp(
 
 /// [`serve_tcp`] over an already-bound listener (callers that need the
 /// ephemeral port bind with `:0` themselves and pass the listener in).
-/// Dispatches to the epoll reactor or the legacy thread-per-connection
-/// loop according to [`TcpOptions::io`].
 pub fn serve_listener(
     resolver: Arc<StreamResolver>,
     listener: TcpListener,
     options: &TcpOptions,
 ) -> std::io::Result<u64> {
-    match options.io {
-        IoMode::Event => serve_listener_event(resolver, listener, options),
-        IoMode::Threads => serve_listener_threaded(resolver, listener, options),
-    }
+    let registry = Arc::clone(resolver.metrics().registry());
+    weber_net::serve(
+        Arc::new(ResolverService { resolver }),
+        listener,
+        ServerOptions {
+            workers: options.workers,
+            queue_capacity: options.queue_capacity,
+            max_connections: options.max_connections.max(1),
+            idle_timeout: options.idle_timeout,
+            max_pipeline: options.max_pipeline,
+            registry: Some(registry),
+            ..ServerOptions::default()
+        },
+    )
 }
 
 /// The adapter putting a [`StreamResolver`] behind the `weber-net`
-/// reactor: classification mirrors
-/// [`StreamService`](crate::service::StreamService)'s routing (named ops
-/// stick to `hash(name)`, control ops are never shed, `health` bypasses
-/// the queues entirely), and processing goes through the same
-/// [`process_line`](crate::service::process_line) every other path uses.
+/// reactor; processing goes through
+/// [`process_line`](crate::service::process_line).
 struct ResolverService {
     resolver: Arc<StreamResolver>,
 }
 
-/// The same name→worker key `StreamService::route` computes.
+/// The sticky worker key of a name.
 fn name_key(name: &str) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
@@ -174,10 +152,9 @@ impl weber_net::NdjsonService for ResolverService {
     }
 
     fn process(&self, line: &str) -> weber_net::Reply {
-        let shutdown = line.contains("shutdown") && protocol::is_shutdown(line);
         weber_net::Reply {
             line: crate::service::process_line(&self.resolver, line),
-            shutdown,
+            shutdown: self.is_shutdown_line(line),
         }
     }
 
@@ -198,279 +175,9 @@ impl weber_net::NdjsonService for ResolverService {
         // line; only candidates pay for the full parse.
         line.contains("shutdown") && protocol::is_shutdown(line)
     }
-}
 
-/// The epoll front end: one reactor, one shared worker pool, `net.*`
-/// metrics surfaced through the resolver's registry.
-fn serve_listener_event(
-    resolver: Arc<StreamResolver>,
-    listener: TcpListener,
-    options: &TcpOptions,
-) -> std::io::Result<u64> {
-    let registry = Arc::clone(resolver.metrics().registry());
-    let service = Arc::new(ResolverService { resolver });
-    weber_net::serve(
-        service,
-        listener,
-        ServerOptions {
-            workers: options.workers,
-            queue_capacity: options.queue_capacity,
-            max_connections: options.max_connections.max(1),
-            idle_timeout: options.idle_timeout,
-            max_pipeline: options.max_pipeline,
-            registry: Some(registry),
-            ..ServerOptions::default()
-        },
-    )
-}
-
-/// The legacy thread-per-connection front end, selectable with
-/// `--io threads`.
-fn serve_listener_threaded(
-    resolver: Arc<StreamResolver>,
-    listener: TcpListener,
-    options: &TcpOptions,
-) -> std::io::Result<u64> {
-    listener.set_nonblocking(true)?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let active = Arc::new(AtomicUsize::new(0));
-    let total = Arc::new(AtomicU64::new(0));
-    let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-
-    while !shutdown.load(Ordering::Relaxed) {
-        // Reap finished handler threads on every iteration — doing it
-        // only on the WouldBlock branch let the vector grow without
-        // bound under a steady stream of short-lived connections.
-        handles.retain(|h| !h.is_finished());
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                if active.load(Ordering::Relaxed) >= options.max_connections.max(1) {
-                    refuse_connection(stream, &peer.to_string());
-                    continue;
-                }
-                match spawn_handler(
-                    Arc::clone(&resolver),
-                    stream,
-                    peer.to_string(),
-                    options,
-                    Arc::clone(&shutdown),
-                    Arc::clone(&active),
-                    Arc::clone(&total),
-                ) {
-                    Ok(handle) => handles.push(handle),
-                    // Socket setup failed for this one client; the daemon
-                    // keeps serving everyone else.
-                    Err(e) => eprintln!("weber serve: connection setup failed ({peer}): {e}"),
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::Interrupted
-                        | std::io::ErrorKind::ConnectionAborted
-                        | std::io::ErrorKind::ConnectionReset
-                ) =>
-            {
-                // A client gave up between SYN and accept; not a listener
-                // failure.
-                eprintln!("weber serve: transient accept error: {e}");
-            }
-            Err(e) => {
-                // Listener-level failure: drain in-flight connections,
-                // then report it.
-                shutdown.store(true, Ordering::Relaxed);
-                for handle in handles {
-                    let _ = handle.join();
-                }
-                return Err(e);
-            }
-        }
-    }
-
-    // Graceful shutdown: every in-flight connection notices the flag at
-    // its next read-timeout tick and drains.
-    for handle in handles {
-        let _ = handle.join();
-    }
-    Ok(total.load(Ordering::Relaxed))
-}
-
-/// Answer an over-cap client with one `overloaded` error line and close.
-fn refuse_connection(mut stream: TcpStream, peer: &str) {
-    let _ = stream.set_nonblocking(false);
-    let line = protocol::err_response(&StreamError::Overloaded);
-    if writeln!(stream, "{line}").is_err() {
-        eprintln!("weber serve: could not refuse connection {peer}");
-    }
-}
-
-/// Spawn the handler thread for one accepted client.
-fn spawn_handler(
-    resolver: Arc<StreamResolver>,
-    stream: TcpStream,
-    peer: String,
-    options: &TcpOptions,
-    shutdown: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
-    total: Arc<AtomicU64>,
-) -> std::io::Result<std::thread::JoinHandle<()>> {
-    // The listener is non-blocking; the per-connection socket must block,
-    // but only up to the read timeout so the loop can poll the shutdown
-    // flag while idle.
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let workers = options.workers;
-    let queue_capacity = options.queue_capacity;
-    // Count the connection before the thread starts so the cap check in
-    // the acceptor never over-admits.
-    active.fetch_add(1, Ordering::Relaxed);
-    Ok(std::thread::spawn(move || {
-        let outcome = run_connection(
-            resolver,
-            reader,
-            &mut writer,
-            workers,
-            queue_capacity,
-            Some(&shutdown),
-        );
-        total.fetch_add(outcome.admitted, Ordering::Relaxed);
-        if outcome.saw_shutdown {
-            shutdown.store(true, Ordering::Relaxed);
-        }
-        if let Some(e) = outcome.error {
-            // Isolated: this connection dies, the daemon keeps serving.
-            eprintln!("weber serve: connection {peer}: {e} (closing this connection only)");
-        }
-        let _ = writer.flush();
-        active.fetch_sub(1, Ordering::Relaxed);
-    }))
-}
-
-/// True when the error is a read-timeout tick rather than a dead peer.
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// The shared connection loop: admit lines, stream ordered responses to
-/// the writer as they complete, stop on EOF, `shutdown`, a raised stop
-/// flag, or a connection-level I/O error. Every admitted request is
-/// processed before the loop returns, even when the peer is gone.
-fn run_connection<R: BufRead, W: Write>(
-    resolver: Arc<StreamResolver>,
-    mut reader: R,
-    writer: &mut W,
-    workers: usize,
-    queue_capacity: usize,
-    stop: Option<&AtomicBool>,
-) -> ConnectionOutcome {
-    let service = StreamService::start(resolver, workers, queue_capacity);
-    let mut admitted = 0u64;
-    let mut emitted = 0u64;
-    let responses = service.responses();
-    let mut saw_shutdown = false;
-    let mut error: Option<std::io::Error> = None;
-    // Partial lines survive read-timeout ticks: read_line appends, and the
-    // buffer is only cleared once a complete line has been taken out.
-    let mut buf = String::new();
-
-    'read: loop {
-        if stop.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-            break;
-        }
-        match reader.read_line(&mut buf) {
-            Ok(0) => break, // EOF
-            Ok(_) => {
-                let line = buf.trim().to_string();
-                buf.clear();
-                if line.is_empty() {
-                    continue;
-                }
-                saw_shutdown = protocol::is_shutdown(&line);
-                service.submit(line);
-                admitted += 1;
-                // Opportunistically stream whatever responses are ready,
-                // keeping the writer hot without blocking admission on
-                // slow requests.
-                while let Ok(response) = responses.try_recv() {
-                    if let Err(e) = writeln!(writer, "{response}") {
-                        error = Some(e);
-                        break 'read;
-                    }
-                    emitted += 1;
-                }
-                if let Err(e) = writer.flush() {
-                    error = Some(e);
-                    break;
-                }
-                if saw_shutdown {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                // A line that is not valid UTF-8. `read_line` has already
-                // consumed it through the newline (and rolled the buffer
-                // back), so the stream is positioned at the next line:
-                // answer a parse error at this request's position and keep
-                // the connection open instead of dropping the client.
-                buf.clear();
-                service.submit_error(&StreamError::Parse(format!("line is not valid UTF-8: {e}")));
-                admitted += 1;
-            }
-            Err(e) if is_timeout(&e) => {
-                // Idle tick: flush anything that completed meanwhile, then
-                // go back to polling (the stop check above runs first).
-                while let Ok(response) = responses.try_recv() {
-                    if let Err(e) = writeln!(writer, "{response}") {
-                        error = Some(e);
-                        break 'read;
-                    }
-                    emitted += 1;
-                }
-                if let Err(e) = writer.flush() {
-                    error = Some(e);
-                    break;
-                }
-            }
-            Err(e) => {
-                error = Some(e);
-                break;
-            }
-        }
-    }
-
-    // Drain: process everything that was admitted, answering the peer as
-    // long as it is still there (a vanished peer only stops the writes).
-    let leftover = service.finish();
-    while emitted < admitted {
-        match leftover.recv() {
-            Ok(response) => {
-                if error.is_none() {
-                    if let Err(e) = writeln!(writer, "{response}") {
-                        error = Some(e);
-                    }
-                }
-                emitted += 1;
-            }
-            Err(_) => break,
-        }
-    }
-    if error.is_none() {
-        if let Err(e) = writer.flush() {
-            error = Some(e);
-        }
-    }
-    ConnectionOutcome {
-        admitted,
-        saw_shutdown,
-        error,
+    fn queue_depth(&self) -> Arc<Gauge> {
+        Arc::clone(&self.resolver.metrics().queue_depth)
     }
 }
 
@@ -478,253 +185,381 @@ fn run_connection<R: BufRead, W: Write>(
 mod tests {
     use super::*;
     use crate::config::StreamConfig;
-    use std::io::Cursor;
+    use serde::Value;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{SocketAddr, TcpStream};
     use weber_extract::gazetteer::Gazetteer;
 
-    fn resolver() -> Arc<StreamResolver> {
+    fn gazetteer() -> Gazetteer {
         let mut g = Gazetteer::new();
         g.add_phrases(
             weber_extract::gazetteer::EntityKind::Concept,
             ["databases", "gardening"],
         );
-        Arc::new(StreamResolver::new(StreamConfig::default(), &g).unwrap())
+        g
     }
 
-    fn seed_line() -> String {
+    fn resolver() -> Arc<StreamResolver> {
+        Arc::new(StreamResolver::new(StreamConfig::default(), &gazetteer()).unwrap())
+    }
+
+    fn seed_line(name: &str) -> String {
         concat!(
-            r#"{"op":"seed","name":"cohen","docs":["#,
+            r#"{"op":"seed","name":"NAME","docs":["#,
             r#"{"text":"databases are fun and databases are important","label":0},"#,
             r#"{"text":"databases are hard but databases pay well","label":0},"#,
             r#"{"text":"gardening tips for growing roses","label":1},"#,
             r#"{"text":"gardening advice on pruning roses","label":1}]}"#
         )
-        .to_string()
+        .replace("NAME", name)
     }
 
-    fn run(input: String) -> Vec<String> {
-        let mut out: Vec<u8> = Vec::new();
-        let outcome = run_connection(resolver(), Cursor::new(input), &mut out, 2, 16, None);
-        assert!(outcome.error.is_none(), "{:?}", outcome.error);
-        let lines: Vec<String> = String::from_utf8(out)
-            .unwrap()
-            .lines()
-            .map(str::to_string)
-            .collect();
-        assert_eq!(lines.len() as u64, outcome.admitted);
-        lines
+    /// Documents in a seed that keeps a worker busy for well over the
+    /// 100 ms the backlog test waits for it to be picked up (about 0.3 s
+    /// in a release build on a 2-vCPU x86 VM).
+    const SLOW_SEED_DOCS: usize = 400;
+
+    fn ingest_line(name: &str, i: usize) -> String {
+        format!(r#"{{"op":"ingest","name":"{name}","text":"databases text number {i}"}}"#)
     }
 
-    #[test]
-    fn answers_every_request_in_order() {
-        let input = format!(
-            "{}\n{}\n{}\n{}\n",
-            seed_line(),
-            r#"{"op":"ingest","name":"cohen","text":"databases are great"}"#,
-            r#"{"op":"snapshot"}"#,
-            r#"{"op":"flush"}"#
-        );
-        let lines = run(input);
-        assert_eq!(lines.len(), 4);
-        let ops: Vec<String> = lines
-            .iter()
-            .map(|l| {
-                serde_json::parse_value(l)
-                    .unwrap()
-                    .get("op")
-                    .unwrap()
-                    .as_str()
-                    .unwrap()
-                    .to_string()
-            })
-            .collect();
-        assert_eq!(ops, vec!["seed", "ingest", "snapshot", "flush"]);
+    fn start(
+        resolver: Arc<StreamResolver>,
+        options: TcpOptions,
+    ) -> (SocketAddr, std::thread::JoinHandle<u64>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle =
+            std::thread::spawn(move || serve_listener(resolver, listener, &options).unwrap());
+        (addr, handle)
     }
 
-    #[test]
-    fn shutdown_stops_the_loop_early() {
-        let input = format!(
-            "{}\n{}\n{}\n",
-            seed_line(),
-            r#"{"op":"shutdown"}"#,
-            r#"{"op":"flush"}"#
-        );
-        let lines = run(input);
-        // The flush after shutdown is never admitted.
-        assert_eq!(lines.len(), 2);
-        let last = serde_json::parse_value(&lines[1]).unwrap();
-        assert_eq!(last.get("op").unwrap().as_str(), Some("shutdown"));
+    /// One connection to a running daemon.
+    struct Client {
+        writer: TcpStream,
+        reader: BufReader<TcpStream>,
     }
 
-    #[test]
-    fn blank_lines_are_skipped_and_errors_are_answered() {
-        let input = "\n\ngarbage\n".to_string();
-        let lines = run(input);
-        assert_eq!(lines.len(), 1);
-        let v = serde_json::parse_value(&lines[0]).unwrap();
-        assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
-    }
-
-    #[test]
-    fn invalid_utf8_lines_get_a_parse_error_not_a_dropped_connection() {
-        // \xff\xfe is not valid UTF-8: read_line fails with InvalidData.
-        // The old loop treated that as a connection error and hung up;
-        // now the line is answered with a parse error and the next line
-        // is served normally.
-        let mut input: Vec<u8> = Vec::new();
-        input.extend_from_slice(b"\xff\xfe{garbage\n");
-        input.extend_from_slice(b"{\"op\":\"flush\"}\n");
-        let mut out: Vec<u8> = Vec::new();
-        let outcome = run_connection(resolver(), Cursor::new(input), &mut out, 2, 16, None);
-        assert!(outcome.error.is_none(), "{:?}", outcome.error);
-        assert_eq!(outcome.admitted, 2);
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "{text}");
-        let first = serde_json::parse_value(lines[0]).unwrap();
-        assert_eq!(first.get("ok").unwrap().as_bool(), Some(false));
-        assert_eq!(first.get("kind").unwrap().as_str(), Some("parse"));
-        let second = serde_json::parse_value(lines[1]).unwrap();
-        assert_eq!(second.get("op").unwrap().as_str(), Some("flush"));
-    }
-
-    #[test]
-    fn a_raised_stop_flag_ends_the_loop_before_reading() {
-        let stop = AtomicBool::new(true);
-        let mut out: Vec<u8> = Vec::new();
-        let input = format!("{}\n", seed_line());
-        let outcome = run_connection(resolver(), Cursor::new(input), &mut out, 2, 16, Some(&stop));
-        assert_eq!(outcome.admitted, 0);
-        assert!(!outcome.saw_shutdown);
-        assert!(outcome.error.is_none());
-    }
-
-    #[test]
-    fn a_dead_writer_is_reported_not_propagated_as_panic() {
-        /// Writer that fails after the first byte, like a peer that reset.
-        struct DeadWriter;
-        impl Write for DeadWriter {
-            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::BrokenPipe,
-                    "peer gone",
-                ))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
+    impl Client {
+        fn connect(addr: SocketAddr) -> Self {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(60)))
+                .unwrap();
+            Self {
+                writer: stream.try_clone().unwrap(),
+                reader: BufReader::new(stream),
             }
         }
-        let input = format!(
-            "{}\n{}\n",
-            seed_line(),
-            r#"{"op":"ingest","name":"cohen","text":"databases still count"}"#
-        );
-        let mut writer = DeadWriter;
-        let outcome = run_connection(resolver(), Cursor::new(input), &mut writer, 2, 16, None);
-        assert!(
-            outcome.error.is_some(),
-            "the write failure must be surfaced"
-        );
-        // Everything read before the failure was still admitted and
-        // processed; the error is the connection's problem, not the
-        // daemon's.
-        assert!(outcome.admitted >= 1);
+
+        /// Pipeline `lines` in one write, then read one reply per line.
+        fn pipeline(&mut self, lines: &[String]) -> Vec<Value> {
+            let mut batch = String::new();
+            for line in lines {
+                batch.push_str(line);
+                batch.push('\n');
+            }
+            self.send_raw(batch.as_bytes());
+            self.read(lines.len())
+        }
+
+        fn send_raw(&mut self, bytes: &[u8]) {
+            self.writer.write_all(bytes).unwrap();
+            self.writer.flush().unwrap();
+        }
+
+        fn read(&mut self, n: usize) -> Vec<Value> {
+            (0..n)
+                .map(|_| {
+                    let mut line = String::new();
+                    self.reader.read_line(&mut line).unwrap();
+                    serde_json::parse_value(line.trim()).unwrap()
+                })
+                .collect()
+        }
+
+        fn shutdown(mut self) {
+            let reply = self.pipeline(&[r#"{"op":"shutdown"}"#.to_string()]);
+            assert_eq!(ok(&reply[0]), Some(true));
+        }
+    }
+
+    fn ok(v: &Value) -> Option<bool> {
+        v.get("ok").and_then(Value::as_bool)
+    }
+
+    fn op(v: &Value) -> Option<&str> {
+        v.get("op").and_then(Value::as_str)
+    }
+
+    fn is_overloaded(v: &Value) -> bool {
+        v.get("error").and_then(Value::as_str) == Some("overloaded")
     }
 
     #[test]
     fn tcp_round_trip() {
-        use std::net::TcpStream;
-        let resolver = resolver();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            serve_listener(resolver, listener, &TcpOptions::default()).unwrap()
-        });
-        let client = TcpStream::connect(addr).unwrap();
-        let mut writer = client.try_clone().unwrap();
-        let mut reader = BufReader::new(client);
-        writeln!(writer, "{}", seed_line()).unwrap();
-        writeln!(
-            writer,
-            r#"{{"op":"ingest","name":"cohen","text":"databases rock"}}"#
-        )
-        .unwrap();
-        writeln!(writer, r#"{{"op":"shutdown"}}"#).unwrap();
-        writer.flush().unwrap();
-        let mut lines = Vec::new();
-        for _ in 0..3 {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            lines.push(line.trim().to_string());
-        }
-        let admitted = server.join().unwrap();
-        assert_eq!(admitted, 3);
-        let ingest = serde_json::parse_value(&lines[1]).unwrap();
-        assert_eq!(ingest.get("ok").unwrap().as_bool(), Some(true));
-        assert_eq!(ingest.get("doc").unwrap().as_u64(), Some(4));
+        let (addr, server) = start(resolver(), TcpOptions::default());
+        let mut client = Client::connect(addr);
+        let replies = client.pipeline(&[
+            seed_line("cohen"),
+            r#"{"op":"ingest","name":"cohen","text":"databases rock"}"#.to_string(),
+            r#"{"op":"shutdown"}"#.to_string(),
+        ]);
+        assert_eq!(server.join().unwrap(), 3);
+        assert_eq!(ok(&replies[1]), Some(true));
+        assert_eq!(replies[1].get("doc").unwrap().as_u64(), Some(4));
     }
 
     #[test]
-    fn threaded_io_mode_round_trips_too() {
-        use std::net::TcpStream;
-        let resolver = resolver();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let options = TcpOptions {
-            io: weber_net::IoMode::Threads,
-            ..TcpOptions::default()
-        };
-        let server =
-            std::thread::spawn(move || serve_listener(resolver, listener, &options).unwrap());
-        let client = TcpStream::connect(addr).unwrap();
-        let mut writer = client.try_clone().unwrap();
-        let mut reader = BufReader::new(client);
-        writeln!(writer, "{}", seed_line()).unwrap();
-        writeln!(writer, r#"{{"op":"shutdown"}}"#).unwrap();
-        writer.flush().unwrap();
-        let mut lines = Vec::new();
-        for _ in 0..2 {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            lines.push(line.trim().to_string());
+    fn same_name_requests_execute_in_admission_order() {
+        let (addr, server) = start(
+            resolver(),
+            TcpOptions {
+                workers: 3,
+                queue_capacity: 16,
+                ..TcpOptions::default()
+            },
+        );
+        let mut client = Client::connect(addr);
+        let mut lines = vec![seed_line("cohen")];
+        lines.extend((0..5).map(|i| ingest_line("cohen", i)));
+        lines.push(r#"{"op":"resolve","name":"cohen"}"#.to_string());
+        lines.push(r#"{"op":"resolve","name":"nobody"}"#.to_string());
+        lines.push(r#"{"op":"flush"}"#.to_string());
+        let replies = client.pipeline(&lines);
+        assert_eq!(op(&replies[0]), Some("seed"));
+        // The seed applies before any ingest, and ingests take block
+        // slots in admission order.
+        for (i, reply) in replies[1..6].iter().enumerate() {
+            assert_eq!(ok(reply), Some(true), "{reply:?}");
+            assert_eq!(reply.get("doc").unwrap().as_u64(), Some(4 + i as u64));
         }
-        assert_eq!(server.join().unwrap(), 2);
-        assert!(lines[0].contains("\"ok\":true"), "{}", lines[0]);
-        assert!(lines[1].contains("shutdown"), "{}", lines[1]);
+        // A resolve admitted after the ingests sees all of them.
+        assert_eq!(op(&replies[6]), Some("resolve"));
+        assert_eq!(replies[6].get("docs").unwrap().as_u64(), Some(9));
+        assert_eq!(
+            replies[7].get("kind").unwrap().as_str(),
+            Some("unknown-name")
+        );
+        assert_eq!(op(&replies[8]), Some("flush"));
+        client.shutdown();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn names_on_different_workers_are_all_served() {
+        let (addr, server) = start(
+            resolver(),
+            TcpOptions {
+                workers: 4,
+                queue_capacity: 32,
+                ..TcpOptions::default()
+            },
+        );
+        let mut client = Client::connect(addr);
+        let mut lines = vec![seed_line("cohen"), seed_line("smith")];
+        lines.extend((0..4).map(|i| ingest_line(["cohen", "smith"][i % 2], i)));
+        for reply in client.pipeline(&lines) {
+            assert_eq!(ok(&reply), Some(true), "{reply:?}");
+        }
+        client.shutdown();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn malformed_and_undecodable_lines_are_answered_in_place() {
+        let (addr, server) = start(resolver(), TcpOptions::default());
+        let mut client = Client::connect(addr);
+        client.send_raw(b"garbage\n\xff\xfe{garbage\n");
+        client.send_raw(b"{\"op\":\"ingest\",\"name\":\"never-seeded\",\"text\":\"x\"}\n");
+        client.send_raw(b"{\"op\":\"flush\"}\n");
+        let replies = client.read(4);
+        for reply in &replies[..3] {
+            assert_eq!(ok(reply), Some(false), "{reply:?}");
+        }
+        assert_eq!(replies[1].get("kind").unwrap().as_str(), Some("parse"));
+        assert_eq!(op(&replies[3]), Some("flush"));
+        client.shutdown();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_saturated_queue_sheds_data_but_never_control_or_health() {
+        // One worker with a one-slot queue under a pipelined burst: some
+        // ingests must be shed, while every health probe and the
+        // trailing control requests are answered ok.
+        let (addr, server) = start(
+            resolver(),
+            TcpOptions {
+                workers: 1,
+                queue_capacity: 1,
+                ..TcpOptions::default()
+            },
+        );
+        let mut client = Client::connect(addr);
+        let mut lines = vec![seed_line("cohen")];
+        for i in 0..64 {
+            lines.push(ingest_line("cohen", i));
+            if i % 4 == 0 {
+                lines.push(r#"{"op":"health"}"#.to_string());
+            }
+        }
+        lines.push(r#"{"op":"snapshot"}"#.to_string());
+        lines.push(r#"{"op":"flush"}"#.to_string());
+        let replies = client.pipeline(&lines);
+        let ingests: Vec<&Value> = replies.iter().filter(|r| op(r) != Some("health")).collect();
+        assert!(
+            ingests.iter().any(|r| is_overloaded(r)),
+            "a one-slot queue must shed under a burst"
+        );
+        assert!(ingests.iter().filter(|r| ok(r) == Some(true)).count() > 1);
+        let probes: Vec<&Value> = replies.iter().filter(|r| op(r) == Some("health")).collect();
+        assert_eq!(probes.len(), 16, "no probe may be shed or dropped");
+        for probe in probes {
+            assert_eq!(ok(probe), Some(true));
+            assert!(probe.get("uptime_s").unwrap().as_f64().unwrap() >= 0.0);
+        }
+        for reply in &replies[replies.len() - 2..] {
+            assert_eq!(ok(reply), Some(true), "{reply:?}");
+        }
+        client.shutdown();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn queue_depth_reports_the_backlog_and_drains_to_zero() {
+        // A slow seed occupies the single worker, so the ingest sent
+        // behind it waits in the one-slot queue and a health probe framed
+        // right after sees the backlog. After `flush` nothing is queued.
+        let (addr, server) = start(
+            resolver(),
+            TcpOptions {
+                workers: 1,
+                queue_capacity: 1,
+                ..TcpOptions::default()
+            },
+        );
+        let docs: Vec<String> = (0..SLOW_SEED_DOCS)
+            .map(|i| {
+                let topic = ["databases", "gardening"][i % 2];
+                format!(
+                    r#"{{"text":"{topic} page {i} about {topic} and more {topic}","label":{}}}"#,
+                    i % 2
+                )
+            })
+            .collect();
+        let mut client = Client::connect(addr);
+        client.send_raw(
+            format!(
+                "{{\"op\":\"seed\",\"name\":\"cohen\",\"docs\":[{}]}}\n",
+                docs.join(",")
+            )
+            .as_bytes(),
+        );
+        // Let the worker pick the seed up before the rest arrives.
+        std::thread::sleep(Duration::from_millis(100));
+        let rest = [
+            ingest_line("cohen", 0),
+            r#"{"op":"health"}"#.to_string(),
+            r#"{"op":"flush"}"#.to_string(),
+            r#"{"op":"health"}"#.to_string(),
+            r#"{"op":"metrics"}"#.to_string(),
+        ];
+        client.send_raw(format!("{}\n", rest.join("\n")).as_bytes());
+        let replies = client.read(6);
+        assert_eq!(ok(&replies[0]), Some(true), "{:?}", replies[0]);
+        assert_eq!(ok(&replies[1]), Some(true), "{:?}", replies[1]);
+        let depth = |v: &Value| v.get("queue_depth").unwrap().as_u64().unwrap();
+        assert_eq!(depth(&replies[2]), 1, "{:?}", replies[2]);
+        assert_eq!(depth(&replies[4]), 0);
+        let gauges = replies[5].get("gauges").unwrap();
+        assert_eq!(gauges.get("stream.queue_depth").unwrap().as_u64(), Some(0));
+        client.shutdown();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn metrics_count_the_ingests_before_them_on_any_worker_count() {
+        // `metrics` is a control line, so it runs only after every
+        // earlier line on its connection, whichever worker ran them.
+        let (addr, server) = start(
+            resolver(),
+            TcpOptions {
+                workers: 4,
+                queue_capacity: 16,
+                ..TcpOptions::default()
+            },
+        );
+        let mut client = Client::connect(addr);
+        let mut lines = vec![seed_line("cohen")];
+        lines.extend((0..3).map(|i| ingest_line("cohen", i)));
+        lines.push(r#"{"op":"metrics"}"#.to_string());
+        let replies = client.pipeline(&lines);
+        let metrics = &replies[4];
+        assert_eq!(op(metrics), Some("metrics"));
+        let counters = metrics.get("counters").unwrap();
+        assert_eq!(counters.get("stream.ingests").unwrap().as_u64(), Some(3));
+        assert_eq!(counters.get("stream.seeds").unwrap().as_u64(), Some(1));
+        let ingest_us = metrics
+            .get("histograms")
+            .unwrap()
+            .get("stream.ingest_us")
+            .unwrap();
+        assert_eq!(ingest_us.get("count").unwrap().as_u64(), Some(3));
+        client.shutdown();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn persist_and_restore_round_trip_over_the_wire() {
+        let dir = std::env::temp_dir().join(format!(
+            "weber_server_persist_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = StreamConfig::default().with_state_dir(&dir);
+        let first = Arc::new(StreamResolver::new(config.clone(), &gazetteer()).unwrap());
+        let (addr, server) = start(Arc::clone(&first), TcpOptions::default());
+        let mut client = Client::connect(addr);
+        let replies = client.pipeline(&[seed_line("cohen"), r#"{"op":"persist"}"#.to_string()]);
+        assert_eq!(replies[1].get("names").unwrap().as_u64(), Some(1));
+        client.shutdown();
+        server.join().unwrap();
+        // A fresh resolver restores it over the wire.
+        let second = Arc::new(StreamResolver::new(config, &gazetteer()).unwrap());
+        let (addr, server) = start(Arc::clone(&second), TcpOptions::default());
+        let mut client = Client::connect(addr);
+        let replies = client.pipeline(&[r#"{"op":"restore"}"#.to_string()]);
+        assert_eq!(replies[0].get("names").unwrap().as_u64(), Some(1));
+        client.shutdown();
+        server.join().unwrap();
+        assert_eq!(
+            second.partition("cohen").unwrap(),
+            first.partition("cohen").unwrap()
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn over_cap_clients_are_refused_with_an_overloaded_line() {
-        use std::net::TcpStream;
-        let resolver = resolver();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let options = TcpOptions {
-            max_connections: 1,
-            ..TcpOptions::default()
-        };
-        let server =
-            std::thread::spawn(move || serve_listener(resolver, listener, &options).unwrap());
+        let (addr, server) = start(
+            resolver(),
+            TcpOptions {
+                max_connections: 1,
+                ..TcpOptions::default()
+            },
+        );
         // First client occupies the single slot.
-        let first = TcpStream::connect(addr).unwrap();
-        let mut first_writer = first.try_clone().unwrap();
-        let mut first_reader = BufReader::new(first);
-        writeln!(first_writer, "{}", seed_line()).unwrap();
-        let mut line = String::new();
-        first_reader.read_line(&mut line).unwrap();
+        let mut first = Client::connect(addr);
+        first.pipeline(&[seed_line("cohen")]);
         // Second client is over the cap: one overloaded line, then EOF.
-        let second = TcpStream::connect(addr).unwrap();
-        let mut second_reader = BufReader::new(second);
-        let mut refusal = String::new();
-        second_reader.read_line(&mut refusal).unwrap();
-        let v = serde_json::parse_value(refusal.trim()).unwrap();
-        assert_eq!(v.get("error").unwrap().as_str(), Some("overloaded"));
+        let mut second = Client::connect(addr);
+        assert!(is_overloaded(&second.read(1)[0]));
         let mut rest = String::new();
-        assert_eq!(second_reader.read_line(&mut rest).unwrap(), 0, "{rest}");
+        assert_eq!(second.reader.read_line(&mut rest).unwrap(), 0, "{rest}");
         // The first client still works, and can stop the daemon.
-        writeln!(first_writer, r#"{{"op":"shutdown"}}"#).unwrap();
-        line.clear();
-        first_reader.read_line(&mut line).unwrap();
-        assert!(line.contains("shutdown"), "{line}");
+        first.shutdown();
         server.join().unwrap();
     }
 }

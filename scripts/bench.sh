@@ -27,8 +27,8 @@
 #     results/BENCH_serve_baseline.json, when present (full runs).
 #
 # The route stage repeats the same unloaded/loaded pair against a sharded
-# tier: ROUTE_BACKENDS `weber serve` daemons behind one `weber route --io
-# event` router, with the loadgen pointed at the router. Same gates, with
+# tier: ROUTE_BACKENDS `weber serve` daemons behind one `weber route`
+# router, with the loadgen pointed at the router. Same gates, with
 # the throughput floor taken from results/BENCH_route_baseline.json; the
 # loaded pass is what exercises the async outbound pool (every client
 # connection funnels into a handful of pooled backend sockets driven by
@@ -123,7 +123,7 @@ run_pass() {
     # Below the ephemeral range; see pick_port in the route stage.
     local port=$((20000 + RANDOM % 12000))
     while ! port_free "$port"; do port=$((port + 1)); done
-    target/release/weber serve --listen "127.0.0.1:$port" --io event \
+    target/release/weber serve --listen "127.0.0.1:$port" \
         --workers 2 --queue 1024 --max-connections $((LOADED_CONNS + 64)) \
         >>"$WORK/serve.log" 2>&1 &
     SERVE_PID=$!
@@ -241,7 +241,7 @@ run_route_pass() {
     ROUTE_PIDS=()
     for _ in $(seq 1 "$ROUTE_BACKENDS"); do
         bport=$(pick_port)
-        target/release/weber serve --listen "127.0.0.1:$bport" --io event \
+        target/release/weber serve --listen "127.0.0.1:$bport" \
             --workers 2 --queue 1024 >>"$WORK/route_backend.log" 2>&1 &
         ROUTE_PIDS+=($!)
         backends+=("127.0.0.1:$bport")
@@ -255,7 +255,7 @@ run_route_pass() {
     rport=$(pick_port)
     blist=$(IFS=,; echo "${backends[*]}")
     target/release/weber route --backends "$blist" --listen "127.0.0.1:$rport" \
-        --io event --replication "$ROUTE_REPLICATION" --workers 2 --queue 1024 \
+        --replication "$ROUTE_REPLICATION" --workers 2 --queue 1024 \
         --max-connections $((ROUTE_LOADED_CONNS + 64)) >>"$WORK/route.log" 2>&1 &
     ROUTE_PIDS+=($!)
     for _ in $(seq 1 100); do

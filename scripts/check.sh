@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, and the tier-1 build/test cycle.
+# Repo gate: formatting, lints, the tier-1 build/test cycle and every
+# workspace test.
 # Run from anywhere; operates on the repository root.
 # --full additionally re-runs the headline experiments and diffs them
 # against the archived results/ (scripts/results_check.sh).
@@ -20,6 +21,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+# The tier-1 line above runs only the root package's tests; this runs
+# every crate's unit and property tests too.
+echo "==> every test: cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> streaming stress: cargo test -q --release -p weber-stream"
 cargo test -q --release -p weber-stream

@@ -82,6 +82,112 @@ fn serve_round_trips_ndjson_over_stdio() {
     assert!(lines[3].contains(r#""op":"shutdown""#));
 }
 
+/// Run `weber` with stdin taken from `stdin` and return (stdout lines,
+/// stderr), asserting a clean exit.
+fn run_with_stdin(args: &[&str], stdin: std::process::Stdio) -> (Vec<String>, String) {
+    let out = weber().args(args).stdin(stdin).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(out.status.success(), "{args:?}: {stderr}");
+    let lines = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(str::to_string)
+        .collect();
+    (lines, stderr)
+}
+
+const STDIO_REQUESTS: &str = concat!(
+    r#"{"op":"seed","name":"cohen","docs":[{"text":"databases and systems","label":0},{"text":"databases research","label":0},{"text":"gardening and roses","label":1}]}"#,
+    "\n",
+    r#"{"op":"ingest","name":"cohen","text":"more databases work"}"#,
+    "\n",
+    r#"{"op":"snapshot"}"#,
+    "\n",
+    // The last line has no newline: end of input still frames it.
+    r#"{"op":"resolve","name":"cohen"}"#,
+);
+
+/// Epoll cannot watch a regular file or `/dev/null`; stdin from either
+/// must still be served to the end of input, every line answered.
+#[test]
+fn serve_answers_stdin_from_a_regular_file_and_dev_null() {
+    let path = temp_path("serve_stdin.ndjson");
+    std::fs::write(&path, STDIO_REQUESTS).unwrap();
+    let file = std::fs::File::open(&path).unwrap();
+    let (lines, stderr) = run_with_stdin(&["serve"], file.into());
+    assert_eq!(lines.len(), 4, "{lines:?}");
+    assert!(lines[1].contains(r#""doc":3"#), "{}", lines[1]);
+    assert!(lines[2].contains("cohen"), "{}", lines[2]);
+    assert!(lines[3].contains(r#""docs":4"#), "{}", lines[3]);
+    assert!(stderr.contains("served 4 requests"), "{stderr}");
+
+    let (lines, stderr) = run_with_stdin(&["serve"], std::process::Stdio::null());
+    assert!(lines.is_empty(), "{lines:?}");
+    assert!(stderr.contains("served 0 requests"), "{stderr}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn route_answers_stdin_from_a_regular_file_and_dev_null() {
+    let port = {
+        let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        probe.local_addr().unwrap().port()
+    };
+    let addr = format!("127.0.0.1:{port}");
+    let mut backend = weber()
+        .args(["serve", "--listen", &addr])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    for attempt in 0.. {
+        if std::net::TcpStream::connect(&addr).is_ok() {
+            break;
+        }
+        assert!(attempt < 100, "backend never bound {addr}");
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+
+    let path = temp_path("route_stdin.ndjson");
+    std::fs::write(&path, STDIO_REQUESTS).unwrap();
+    let file = std::fs::File::open(&path).unwrap();
+    let (lines, stderr) = run_with_stdin(&["route", "--backends", &addr], file.into());
+    assert_eq!(lines.len(), 4, "{lines:?}");
+    for line in &lines {
+        assert!(line.contains(r#""ok":true"#), "{line}");
+    }
+    // The snapshot fan-out runs only after the routed seed and ingest.
+    assert!(lines[2].contains("cohen"), "{}", lines[2]);
+    assert!(stderr.contains("routed 4 requests"), "{stderr}");
+
+    let (lines, stderr) =
+        run_with_stdin(&["route", "--backends", &addr], std::process::Stdio::null());
+    assert!(lines.is_empty(), "{lines:?}");
+    assert!(stderr.contains("routed 0 requests"), "{stderr}");
+
+    backend.kill().ok();
+    backend.wait().ok();
+    std::fs::remove_file(&path).ok();
+}
+
+/// `--io` chose between the reactor and a thread-per-connection front
+/// end; both front ends now always run on the reactor.
+#[test]
+fn io_flag_is_refused_with_an_explanation() {
+    for command in [&["serve"][..], &["route", "--backends", "127.0.0.1:1"][..]] {
+        for mode in ["event", "threads"] {
+            let out = weber()
+                .args(command)
+                .args(["--io", mode])
+                .stdin(std::process::Stdio::null())
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(1), "{command:?} --io {mode}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("--io has been removed"), "{err}");
+        }
+    }
+}
+
 #[test]
 fn serve_state_dir_survives_a_daemon_restart() {
     use std::io::Write;
