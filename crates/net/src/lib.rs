@@ -32,5 +32,5 @@ pub use poller::{
     connect_nonblocking, connect_outcome, raise_nofile_limit, ConnectProgress, Event, Interest,
     Poller, Waker,
 };
-pub use pool::{Completion, CompletionSender, Dispatch, RouteClass, WorkerPool};
-pub use server::{serve, serve_stdio, NdjsonService, Reply, Responder, ServerOptions};
+pub use pool::{Completion, CompletionSender, Dispatch, Responder, RouteClass, WorkerPool};
+pub use server::{serve, serve_stdio, NdjsonService, Reply, ServerOptions};

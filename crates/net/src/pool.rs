@@ -62,12 +62,29 @@ pub struct Completion {
 pub struct CompletionSender {
     tx: Sender<Completion>,
     waker: Arc<Waker>,
+    /// The reply a [`Responder`] dropped unanswered sends.
+    fallback: Arc<str>,
 }
 
 impl CompletionSender {
-    /// Pair a sender with the reactor's waker.
-    pub fn new(tx: Sender<Completion>, waker: Arc<Waker>) -> Self {
-        Self { tx, waker }
+    /// Pair a sender with the reactor's waker and the reply for lines
+    /// whose responder is dropped unanswered.
+    pub fn new(tx: Sender<Completion>, waker: Arc<Waker>, fallback: String) -> Self {
+        Self {
+            tx,
+            waker,
+            fallback: fallback.into(),
+        }
+    }
+
+    /// The reply slot of line `seq` on connection `conn`.
+    pub(crate) fn responder(&self, conn: u64, seq: u64) -> Responder {
+        Responder {
+            sender: self.clone(),
+            conn,
+            seq,
+            answered: false,
+        }
     }
 
     /// Post one completion and wake the reactor. A disconnected reactor
@@ -75,6 +92,47 @@ impl CompletionSender {
     pub fn send(&self, completion: Completion) {
         if self.tx.send(completion).is_ok() {
             self.waker.wake();
+        }
+    }
+}
+
+/// The write-half of one admitted line's reply slot, handed to
+/// [`NdjsonService::process_deferred`]. The service answers from any
+/// thread, now or later, and the reply takes the line's position in the
+/// connection's reply order. A responder dropped unanswered (a panicking
+/// handler, a completion that never fires) answers with the service's
+/// [`internal_error_reply`](NdjsonService::internal_error_reply), so a lost
+/// reply never jams the connection.
+pub struct Responder {
+    sender: CompletionSender,
+    conn: u64,
+    seq: u64,
+    answered: bool,
+}
+
+impl Responder {
+    /// Deliver the reply for this line's position.
+    pub fn respond(mut self, reply: Reply) {
+        self.answered = true;
+        self.sender.send(Completion {
+            conn: self.conn,
+            seq: self.seq,
+            reply,
+        });
+    }
+}
+
+impl Drop for Responder {
+    fn drop(&mut self) {
+        if !self.answered {
+            self.sender.send(Completion {
+                conn: self.conn,
+                seq: self.seq,
+                reply: Reply {
+                    line: self.sender.fallback.to_string(),
+                    shutdown: false,
+                },
+            });
         }
     }
 }
@@ -153,14 +211,12 @@ impl WorkerPool {
                     };
                     depth.sub(1);
                     let (conn, seq, line) = job;
-                    // A panicking handler must not wedge the connection:
-                    // the line still gets a reply at its position.
-                    let reply = catch_unwind(AssertUnwindSafe(|| service.process(&line)))
-                        .unwrap_or_else(|_| Reply {
-                            line: service.internal_error_reply("request handler panicked"),
-                            shutdown: false,
-                        });
-                    completions.send(Completion { conn, seq, reply });
+                    let responder = completions.responder(conn, seq);
+                    // A panic drops the responder, which still answers the
+                    // line's position; catching it keeps the worker alive.
+                    let _ = catch_unwind(AssertUnwindSafe(|| {
+                        service.process_deferred(&line, responder)
+                    }));
                 })
             })
             .collect();
@@ -266,7 +322,7 @@ mod tests {
             Arc::new(echo),
             workers,
             capacity,
-            CompletionSender::new(tx, Arc::clone(&waker)),
+            CompletionSender::new(tx, Arc::clone(&waker), "internal-error".into()),
         );
         (pool, rx, waker)
     }
@@ -322,7 +378,7 @@ mod tests {
         pool.submit(RouteClass::Data(0), 1, 1, "after".into());
         let first = rx.recv().unwrap();
         assert_eq!(first.seq, 0);
-        assert_eq!(first.reply.line, "parse-error");
+        assert_eq!(first.reply.line, "internal-error");
         let second = rx.recv().unwrap();
         assert_eq!(second.reply.line, "after");
         pool.finish();

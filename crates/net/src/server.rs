@@ -54,7 +54,7 @@ use weber_obs::{Gauge, Registry};
 
 use crate::buffer::{LineFramer, WriteBuffer};
 use crate::poller::{Event, Interest, Poller, Waker};
-use crate::pool::{Completion, CompletionSender, Dispatch, RouteClass, WorkerPool};
+use crate::pool::{Completion, CompletionSender, Dispatch, Responder, RouteClass, WorkerPool};
 
 /// One reply line, plus whether it ends the server.
 pub struct Reply {
@@ -64,31 +64,6 @@ pub struct Reply {
     pub shutdown: bool,
 }
 
-/// The write-half of one admitted line's reply slot, handed to
-/// [`NdjsonService::process_deferred`] for lines classified
-/// [`RouteClass::Deferred`]. The service answers from any thread, later:
-/// the reply lands in the completion channel and takes the line's
-/// position in the connection's reply order, exactly as a worker-pool
-/// completion would. Dropping a responder without responding would leave
-/// the position unanswered (and the connection's pipeline valve jammed),
-/// so [`respond`](Responder::respond) must be called exactly once.
-pub struct Responder {
-    sender: CompletionSender,
-    conn: u64,
-    seq: u64,
-}
-
-impl Responder {
-    /// Deliver the reply for this line's position.
-    pub fn respond(self, reply: Reply) {
-        self.sender.send(Completion {
-            conn: self.conn,
-            seq: self.seq,
-            reply,
-        });
-    }
-}
-
 /// The request-side contract a serving tier implements to run on the
 /// event loop. One instance is shared by every worker thread.
 pub trait NdjsonService: Send + Sync + 'static {
@@ -96,8 +71,9 @@ pub trait NdjsonService: Send + Sync + 'static {
     /// must be cheap — peek at the line, do not process it.
     fn classify(&self, line: &str) -> RouteClass;
 
-    /// Execute one request line and produce its reply. Called on worker
-    /// threads (or the reactor thread for `RouteClass::Immediate`).
+    /// Execute one request line and produce its reply, for the default
+    /// [`process_deferred`](Self::process_deferred) and for
+    /// `RouteClass::Immediate` lines on the reactor thread.
     fn process(&self, line: &str) -> Reply;
 
     /// The reply for a line shed by a full queue or a refused connection.
@@ -113,11 +89,11 @@ pub trait NdjsonService: Send + Sync + 'static {
         self.parse_error_reply(detail)
     }
 
-    /// Start asynchronous processing for a [`RouteClass::Deferred`] line.
-    /// Called on the reactor thread, so it must not block: kick off the
-    /// outbound work and return; answer through `responder` when done.
-    /// The default falls back to synchronous processing so services that
-    /// never classify `Deferred` need not implement it.
+    /// Run one request line and answer through `responder`, now or later,
+    /// from any thread. Workers run every `Data` and `Control` line
+    /// through here, and the reactor thread every [`RouteClass::Deferred`]
+    /// line, where it must not block. The default answers with
+    /// [`process`](Self::process) at once.
     fn process_deferred(&self, line: &str, responder: Responder) {
         responder.respond(self.process(line));
     }
@@ -435,7 +411,11 @@ fn run<S: NdjsonService>(
     let mut poller = Poller::new(1024)?;
     let waker = Arc::new(Waker::new()?);
     let (tx, completions): (_, Receiver<Completion>) = mpsc::channel();
-    let completion_sender = CompletionSender::new(tx, Arc::clone(&waker));
+    let completion_sender = CompletionSender::new(
+        tx,
+        Arc::clone(&waker),
+        service.internal_error_reply("the request handler failed without replying"),
+    );
     let pool = WorkerPool::start(
         Arc::clone(&service),
         options.workers,
@@ -784,14 +764,8 @@ impl<S: NdjsonService> Engine<S> {
                     // The line's reply slot travels with the responder;
                     // the service answers through the completion channel
                     // when its outbound work finishes.
-                    self.service.process_deferred(
-                        &line,
-                        Responder {
-                            sender: self.completions.clone(),
-                            conn: token,
-                            seq,
-                        },
-                    );
+                    self.service
+                        .process_deferred(&line, self.completions.responder(token, seq));
                 }
                 RouteClass::Control => {
                     // Dispatched by `release_barrier` once every earlier
@@ -868,8 +842,9 @@ mod tests {
 
     /// Uppercases lines and logs when each starts and ends. A line's
     /// first word picks its class: `ctl` and `shutdown` are `Control`,
-    /// `health` is `Immediate`, `dK` is `Data(K)`, anything else is
-    /// `Data(length)`. Lines containing `slow` take 200 ms.
+    /// `health` is `Immediate`, `drop` is `Deferred`, `dK` is `Data(K)`,
+    /// anything else is `Data(length)`. Lines containing `slow` take
+    /// 200 ms, `panic` panics, and `drop` drops its responder unanswered.
     #[derive(Default)]
     struct Upper {
         log: Mutex<Vec<String>>,
@@ -885,6 +860,7 @@ mod tests {
             match first {
                 "health" => RouteClass::Immediate,
                 "ctl" | "shutdown" => RouteClass::Control,
+                "drop" => RouteClass::Deferred,
                 _ => match first.strip_prefix('d').and_then(|k| k.parse().ok()) {
                     Some(key) => RouteClass::Data(key),
                     None => RouteClass::Data(line.len() as u64),
@@ -892,6 +868,7 @@ mod tests {
             }
         }
         fn process(&self, line: &str) -> Reply {
+            assert!(line != "panic", "the handler panics");
             self.log.lock().unwrap().push(format!("start {line}"));
             if line.contains("slow") {
                 std::thread::sleep(Duration::from_millis(200));
@@ -910,6 +887,11 @@ mod tests {
         }
         fn is_shutdown_line(&self, line: &str) -> bool {
             line == "shutdown"
+        }
+        fn process_deferred(&self, line: &str, responder: Responder) {
+            if line != "drop" {
+                responder.respond(self.process(line));
+            }
         }
     }
 
@@ -1037,6 +1019,24 @@ mod tests {
             "{log:?}"
         );
         client.write_all(b"shutdown\n").unwrap();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_dropped_or_panicking_responder_still_answers_its_position() {
+        let (addr, _, handle) = start(ServerOptions::default());
+        let mut client = ClientStream::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        client.write_all(b"drop\npanic\nafter\n").unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let lines = read_lines(&mut reader, 3);
+        assert!(lines[0].starts_with("error:"), "{lines:?}");
+        assert!(lines[1].starts_with("error:"), "{lines:?}");
+        assert_eq!(lines[2], "AFTER");
+        client.write_all(b"shutdown\n").unwrap();
+        assert_eq!(read_lines(&mut reader, 1), ["SHUTDOWN"]);
         handle.join().unwrap();
     }
 

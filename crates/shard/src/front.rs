@@ -1,24 +1,23 @@
 //! The `weber route` front end: NDJSON over stdin/stdout or TCP, both
 //! on the `weber-net` reactor.
 //!
-//! Per-name ops (`seed`, `ingest`, `resolve`, `same_as`, `constraint`,
-//! named `entities`) take the fully asynchronous path: the reactor
-//! classifies them [`RouteClass::Deferred`] and hands each line (with a
-//! [`weber_net::Responder`]) to
+//! Every line completes on the outbound reactor; no thread waits on a
+//! backend. Per-name ops (`seed`, `ingest`, `resolve`, `same_as`,
+//! `constraint`, named `entities`) classify [`RouteClass::Deferred`]: the
+//! server reactor hands each line (with a [`weber_net::Responder`]) to
 //! [`Router::process_line_deferred`][crate::Router::process_line_deferred],
-//! which submits the backend exchange to the outbound reactor and
-//! returns immediately. No thread waits on the backend round trip — a
-//! deliberately stalled backend stalls only the requests addressed to
-//! it, while requests owned by healthy shards keep flowing, whatever
-//! `--workers` is set to. Replies still come back in per-connection
-//! admission order, and backpressure comes from the pipelining valve,
-//! which stops reading a connection with too many unanswered lines.
+//! which submits the backend exchange and returns at once. A stalled
+//! backend stalls only the requests addressed to it. Replies still come
+//! back in per-connection admission order, and backpressure comes from
+//! the pipelining valve, which stops reading a connection with too many
+//! unanswered lines.
 //!
 //! Fan-out ops (`snapshot`, `metrics`, `persist`, `restore`, `flush`,
-//! `shutdown`, `topology`, name-less `entities`) block for the slowest
-//! backend, so they classify [`RouteClass::Control`] and run on a worker
-//! thread. The reactor runs a control line alone on its connection, so a
-//! fan-out never overtakes an earlier per-name write still in flight.
+//! `shutdown`, `topology`, name-less `entities`) classify
+//! [`RouteClass::Control`]: the reactor runs a control line alone on its
+//! connection, so a fan-out never overtakes an earlier per-name write
+//! still in flight. The one worker only starts the broadcast and is free
+//! again at once, so one client's fan-out never queues behind another's.
 //! `health` and parse errors are answered straight from the reactor
 //! ([`RouteClass::Immediate`]) — both are local and cheap.
 //!
@@ -36,13 +35,13 @@ use weber_stream::StreamError;
 
 use crate::router::Router;
 
+/// Worker threads of the router's engine. A worker only starts a
+/// fan-out and hands it to the outbound reactor, so one is enough.
+const WORKERS: usize = 1;
+
 /// Tuning knobs of the routing front end.
 #[derive(Debug, Clone)]
 pub struct FrontOptions {
-    /// Worker threads running fan-out ops.
-    pub workers: usize,
-    /// Bounded queue slots per worker.
-    pub queue_capacity: usize,
     /// Maximum simultaneous client connections.
     pub max_connections: usize,
     /// Evict connections silent for this long. `None` (the default)
@@ -57,8 +56,6 @@ pub struct FrontOptions {
 impl Default for FrontOptions {
     fn default() -> Self {
         Self {
-            workers: 4,
-            queue_capacity: 256,
             max_connections: 64,
             idle_timeout: None,
             max_pipeline: 256,
@@ -69,19 +66,14 @@ impl Default for FrontOptions {
 /// Route NDJSON from stdin to the backends until EOF or `shutdown`,
 /// answering every admitted request first. Returns the number of
 /// requests admitted.
-pub fn route_stdio(
-    router: Arc<Router>,
-    workers: usize,
-    queue_capacity: usize,
-) -> std::io::Result<u64> {
+pub fn route_stdio(router: Arc<Router>) -> std::io::Result<u64> {
     let registry = router.registry_handle();
     weber_net::serve_stdio(
         Arc::new(RouterService { router }),
         std::io::stdin(),
         std::io::stdout(),
         ServerOptions {
-            workers,
-            queue_capacity,
+            workers: WORKERS,
             registry: Some(registry),
             ..ServerOptions::default()
         },
@@ -128,8 +120,7 @@ pub fn route_listener_with(
         Arc::new(RouterService { router }),
         listener,
         ServerOptions {
-            workers: options.workers,
-            queue_capacity: options.queue_capacity,
+            workers: WORKERS,
             max_connections: options.max_connections.max(1),
             idle_timeout: options.idle_timeout,
             max_pipeline: options.max_pipeline,
@@ -149,8 +140,8 @@ impl weber_net::NdjsonService for RouterService {
     fn classify(&self, line: &str) -> RouteClass {
         match serde_json::parse_value(line) {
             Ok(v) => match v.get("op").and_then(serde::Value::as_str) {
-                // A name-less `entities` is a blocking fan-out, so only
-                // the named form may take the deferred path.
+                // A name-less `entities` is a fan-out, which must run
+                // behind the barrier, so only the named form is deferred.
                 Some("seed" | "ingest" | "resolve" | "same_as" | "constraint") => {
                     RouteClass::Deferred
                 }
@@ -166,24 +157,20 @@ impl weber_net::NdjsonService for RouterService {
         }
     }
 
+    /// Only `Immediate` lines come here, and the router answers those
+    /// without a backend.
     fn process(&self, line: &str) -> weber_net::Reply {
-        let outcome = self.router.process_line(line);
-        weber_net::Reply {
-            line: outcome.response,
-            shutdown: outcome.shutdown,
-        }
+        self.router
+            .answer_locally(line)
+            .unwrap_or_else(|| weber_net::Reply {
+                line: self.internal_error_reply("this line needs the backends"),
+                shutdown: false,
+            })
     }
 
     fn process_deferred(&self, line: &str, responder: weber_net::Responder) {
-        self.router.process_line_deferred(
-            line,
-            Box::new(move |outcome| {
-                responder.respond(weber_net::Reply {
-                    line: outcome.response,
-                    shutdown: outcome.shutdown,
-                });
-            }),
-        );
+        self.router
+            .process_line_deferred(line, Box::new(move |reply| responder.respond(reply)));
     }
 
     fn overloaded_reply(&self) -> String {
@@ -221,7 +208,7 @@ mod tests {
         (addr, handle)
     }
 
-    fn exchange(addr: std::net::SocketAddr, input: &[u8]) -> Vec<serde::Value> {
+    fn replies_to(addr: std::net::SocketAddr, input: &[u8]) -> Vec<serde::Value> {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
@@ -239,7 +226,7 @@ mod tests {
         // Malformed JSON and invalid UTF-8 get positional parse errors,
         // health still answers, and nothing after `shutdown` is admitted.
         let (addr, server) = start_dead_tier();
-        let replies = exchange(
+        let replies = replies_to(
             addr,
             b"not json\n\xff\xfe{broken\n{\"op\":\"health\"}\n{\"op\":\"shutdown\"}\n{\"op\":\"health\"}\n",
         );

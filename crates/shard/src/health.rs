@@ -9,10 +9,10 @@
 //! exponentially instead of hammering a dead host once a second forever,
 //! and the recovery signal that triggers write-repair replay.
 //!
-//! Both paths feed it: the active prober sends `{"op":"health"}` on a
-//! schedule, and the forwarder marks success/failure passively on every
-//! routed exchange — a backend that comes back is observed as healthy by
-//! the first request that reaches it, not only by the next probe.
+//! Both paths feed it: the router sends `{"op":"health"}` probes on a
+//! schedule, and marks success/failure passively on every routed
+//! exchange — a backend that comes back is observed as healthy by the
+//! first request that reaches it, not only by the next probe.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::{Duration, Instant};
@@ -102,7 +102,7 @@ impl HealthState {
         probe_interval.saturating_mul(1u32 << exp)
     }
 
-    /// Should the prober contact this backend now? Healthy backends are
+    /// Is a probe of this backend due? Healthy backends are
     /// probed every interval; unhealthy ones on the backoff schedule.
     pub fn probe_due(&self, now: Instant) -> bool {
         now >= *self.next_probe_at.lock()

@@ -12,36 +12,26 @@
 //! `R` under `--replication R`), and the router speaks the same NDJSON
 //! protocol as a single daemon:
 //!
-//! - **per-name writes** (`seed`, `ingest`) are forwarded to every
-//!   backend in the name's replica set over the asynchronous outbound
-//!   connection pool ([`pool`]) — one epoll reactor multiplexing every
-//!   pooled backend socket, so no thread ever parks on a backend round
-//!   trip — with bounded retries (idempotent ops retry any transport
-//!   failure; `ingest` only retries failures that provably sent nothing)
-//!   and the answering shard's index appended to the reply; a replica
-//!   that misses a write gets the line buffered and replayed when it
-//!   recovers (write repair);
-//! - the **per-name read** (`resolve`) fails over across the replica set
-//!   in ring order — healthy members first — so fewer than R dead
-//!   backends never make a name unreadable;
-//! - **fan-out ops** (`snapshot`, `metrics`, `persist`, `restore`,
-//!   `flush`, `shutdown`) are broadcast to every backend concurrently and
-//!   merged into one well-formed reply ([`merge`]) — unreachable backends
-//!   degrade the answer (`"degraded":true` plus the unreachable shard
-//!   list) instead of failing it, and the snapshot merge collapses
-//!   replicated names to their preferred copy;
-//! - **`health`** answers from the router's own records ([`health`]) —
-//!   probes with exponential backoff plus passive marks from routed
-//!   traffic — without contacting any backend;
-//! - **`topology`** swaps the backend set at runtime: the old ring
-//!   persists its names to the shared state directory first, then the new
-//!   replica sets restore them lazily on their next touch.
+//! - **per-name writes** (`seed`, `ingest`, `same_as`, `constraint`) go
+//!   to every backend in the name's replica set, with bounded retries
+//!   (`ingest` only retries failures that provably sent nothing) and the
+//!   answering shard's index appended; a replica that misses a write gets
+//!   the line buffered and replayed when it recovers (write repair);
+//! - **per-name reads** (`resolve`, named `entities`) fail over across
+//!   the replica set in ring order, healthy members first;
+//! - **fan-out ops** (`snapshot`, name-less `entities`, `metrics`,
+//!   `persist`, `restore`, `flush`, `shutdown`) are broadcast and merged
+//!   into one reply ([`merge`]) — unreachable backends degrade the answer
+//!   instead of failing it;
+//! - **`health`** answers from the router's own records ([`health`]);
+//! - **`topology`** swaps the backend set at runtime, after the old ring
+//!   persists its names to the shared state directory.
 //!
-//! The front end ([`front`]) serves stdin/stdout or TCP on the same
-//! `weber-net` reactor as `weber serve`. Everything is
-//! instrumented through `weber-obs`; the `metrics` op merges every
-//! backend's snapshot (namespaced `shard<i>.`) with the router's own
-//! counters, gauges and latency histograms.
+//! Every backend exchange, probe and repair replay runs on one epoll
+//! reactor ([`pool`]), so no thread ever waits on a backend. The front
+//! end ([`front`]) serves stdin/stdout or TCP on the same `weber-net`
+//! reactor as `weber serve`. The `metrics` op merges every backend's
+//! snapshot (namespaced `shard<i>.`) with the router's own.
 
 pub mod front;
 pub mod health;
@@ -55,4 +45,4 @@ pub use health::HealthState;
 pub use merge::{snapshot_from_wire, ShardOutcome};
 pub use pool::{ExchangeCallback, ExchangeResult, OutboundPool, Phase, PoolOptions};
 pub use ring::{fnv1a, HashRing};
-pub use router::{spawn_prober, LineOutcome, Prober, Router, RouterError, RouterOptions};
+pub use router::{Router, RouterError, RouterOptions};

@@ -21,21 +21,17 @@
 //! timeouts are enforced by a periodic sweep on the reactor (queued too
 //! long → [`Phase::Connect`] failure, unanswered too long → the
 //! connection is poisoned and every exchange riding it fails at
-//! [`Phase::Exchange`]).
-//!
-//! Blocking callers (the stdio front end, probes, tests) use
-//! [`OutboundPool::exchange`], a thin submit-and-wait wrapper — from any
-//! thread except the reactor's own, where waiting would deadlock (the
-//! call panics instead).
+//! [`Phase::Exchange`]). The same sweep runs the owner's tick hook
+//! (`OutboundPool::on_tick`), which is how the router schedules probes
+//! and repair replay without a thread of its own.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
-use std::thread::{self, JoinHandle, ThreadId};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -66,6 +62,11 @@ pub type ExchangeResult = Result<String, (Phase, io::Error)>;
 /// asynchronously, or finish a [`weber_net::Responder`].
 pub type ExchangeCallback = Box<dyn FnOnce(ExchangeResult) + Send>;
 
+/// Work the reactor runs on every timeout sweep (see
+/// [`OutboundPool::on_tick`]). Runs on the reactor thread, so like a
+/// completion it must not block.
+pub(crate) type TickHook = Box<dyn Fn() + Send + Sync>;
+
 /// Tuning for the outbound reactor.
 #[derive(Debug, Clone)]
 pub struct PoolOptions {
@@ -93,7 +94,8 @@ impl Default for PoolOptions {
     }
 }
 
-/// How often the reactor sweeps for expired connects and exchanges.
+/// How often the reactor sweeps for expired connects and exchanges (and
+/// runs the tick hook).
 const SWEEP_TICK: Duration = Duration::from_millis(25);
 const TOKEN_WAKER: u64 = 0;
 const FIRST_CONN_TOKEN: u64 = 1;
@@ -183,7 +185,7 @@ struct CommandQueue {
 struct Shared {
     queue: Mutex<CommandQueue>,
     waker: Waker,
-    reactor_thread: OnceLock<ThreadId>,
+    tick: OnceLock<TickHook>,
 }
 
 /// Handle to the outbound reactor. Cloneable via `Arc`; dropping the
@@ -203,7 +205,7 @@ impl OutboundPool {
                 stopped: false,
             }),
             waker: Waker::new()?,
-            reactor_thread: OnceLock::new(),
+            tick: OnceLock::new(),
         });
         let mut reactor = Reactor::new(Arc::clone(&shared), options.clone())?;
         let handle = thread::Builder::new()
@@ -216,10 +218,10 @@ impl OutboundPool {
         })
     }
 
-    /// True on the reactor's own thread — where completion callbacks run
-    /// and where blocking on the pool would deadlock.
-    pub fn on_reactor_thread(&self) -> bool {
-        self.shared.reactor_thread.get().copied() == Some(thread::current().id())
+    /// Run `hook` on the reactor thread every sweep, about every 25 ms.
+    /// Only the first hook set takes effect.
+    pub(crate) fn on_tick(&self, hook: TickHook) {
+        let _ = self.shared.tick.set(hook);
     }
 
     /// Submit one exchange towards `addr`. `key` pins it to
@@ -255,31 +257,6 @@ impl OutboundPool {
         }
     }
 
-    /// Submit-and-wait: one exchange from a thread that can afford to
-    /// block (stdio front end, probes, tests). Panics if called on the
-    /// reactor thread, where waiting would deadlock the whole pool.
-    pub fn exchange(&self, addr: &str, key: Option<u64>, line: &str) -> ExchangeResult {
-        assert!(
-            !self.on_reactor_thread(),
-            "OutboundPool::exchange would deadlock on the reactor thread; use submit"
-        );
-        let (tx, rx) = mpsc::channel();
-        self.submit(
-            addr,
-            key,
-            line.to_string(),
-            Box::new(move |result| {
-                let _ = tx.send(result);
-            }),
-        );
-        rx.recv().unwrap_or_else(|_| {
-            Err((
-                Phase::Connect,
-                io::Error::new(io::ErrorKind::NotConnected, "outbound pool is stopped"),
-            ))
-        })
-    }
-
     /// Close `addr`'s idle connections. After an exchange-phase failure
     /// the surviving warm sockets usually predate the backend restart
     /// that killed the first one; dropping them makes retries dial fresh.
@@ -305,14 +282,21 @@ impl OutboundPool {
             self.shared.waker.wake();
         }
     }
-}
 
-impl Drop for OutboundPool {
-    fn drop(&mut self) {
+    /// Stop the reactor and wait for it: every exchange still queued or
+    /// in flight fails first, and later submissions fail at once. Call it
+    /// from a thread other than the reactor's, which cannot join itself.
+    pub(crate) fn stop(&self) {
         self.command(Command::Stop);
         if let Some(handle) = self.reactor.lock().take() {
             let _ = handle.join();
         }
+    }
+}
+
+impl Drop for OutboundPool {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -346,7 +330,6 @@ impl Reactor {
     }
 
     fn run(&mut self) {
-        let _ = self.shared.reactor_thread.set(thread::current().id());
         loop {
             self.events.clear();
             if self
@@ -373,6 +356,9 @@ impl Reactor {
             if now.duration_since(self.last_sweep) >= SWEEP_TICK {
                 self.last_sweep = now;
                 self.sweep(now);
+                if let Some(tick) = self.shared.tick.get() {
+                    tick();
+                }
             }
             self.pump_all();
         }
@@ -826,11 +812,43 @@ fn conn_interest(conn: Option<&Conn>) -> Option<Interest> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+
+    /// Submit one exchange; its result arrives on the returned channel.
+    fn submit(
+        pool: &OutboundPool,
+        addr: &str,
+        key: Option<u64>,
+        line: &str,
+    ) -> mpsc::Receiver<ExchangeResult> {
+        let (tx, rx) = mpsc::channel();
+        pool.submit(
+            addr,
+            key,
+            line.to_string(),
+            Box::new(move |result| {
+                let _ = tx.send(result);
+            }),
+        );
+        rx
+    }
+
+    /// Submit one exchange and wait for its result.
+    fn submit_and_wait(
+        pool: &OutboundPool,
+        addr: &str,
+        key: Option<u64>,
+        line: &str,
+    ) -> ExchangeResult {
+        submit(pool, addr, key, line)
+            .recv()
+            .expect("the pool runs every callback")
+    }
 
     fn fast_options() -> PoolOptions {
         PoolOptions {
@@ -838,6 +856,21 @@ mod tests {
             io_timeout: Duration::from_millis(1500),
             ..PoolOptions::default()
         }
+    }
+
+    /// A backend that accepts and reads but never replies. Returns its
+    /// address.
+    pub(crate) fn stalled_backend() -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        thread::spawn(move || {
+            let mut held = Vec::new();
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else { break };
+                held.push(stream);
+            }
+        });
+        addr
     }
 
     /// An echo backend answering every line with itself; counts accepted
@@ -876,7 +909,7 @@ mod tests {
         let pool = OutboundPool::new(fast_options()).unwrap();
         for i in 0..8 {
             let line = format!("{{\"i\":{i}}}");
-            assert_eq!(pool.exchange(&addr, Some(7), &line).unwrap(), line);
+            assert_eq!(submit_and_wait(&pool, &addr, Some(7), &line).unwrap(), line);
         }
         // One sticky key → one slot → one TCP connection for all eight.
         assert_eq!(accepted.load(Ordering::SeqCst), 1);
@@ -920,7 +953,7 @@ mod tests {
             l.local_addr().unwrap().to_string()
         };
         let pool = OutboundPool::new(fast_options()).unwrap();
-        let (phase, _err) = pool.exchange(&addr, None, "{\"op\":\"x\"}").unwrap_err();
+        let (phase, _err) = submit_and_wait(&pool, &addr, None, "{\"op\":\"x\"}").unwrap_err();
         assert_eq!(phase, Phase::Connect);
     }
 
@@ -939,29 +972,20 @@ mod tests {
             }
         });
         let pool = OutboundPool::new(fast_options()).unwrap();
-        let (phase, err) = pool.exchange(&addr, None, "{\"op\":\"x\"}").unwrap_err();
+        let (phase, err) = submit_and_wait(&pool, &addr, None, "{\"op\":\"x\"}").unwrap_err();
         assert_eq!(phase, Phase::Exchange, "{err}");
     }
 
     #[test]
     fn a_stalled_backend_times_out_at_the_exchange_phase() {
-        // Accepts and reads but never replies.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        thread::spawn(move || {
-            let mut held = Vec::new();
-            for stream in listener.incoming() {
-                let Ok(stream) = stream else { break };
-                held.push(stream);
-            }
-        });
+        let addr = stalled_backend();
         let options = PoolOptions {
             io_timeout: Duration::from_millis(300),
             ..fast_options()
         };
         let pool = OutboundPool::new(options).unwrap();
         let start = Instant::now();
-        let (phase, err) = pool.exchange(&addr, None, "{\"op\":\"x\"}").unwrap_err();
+        let (phase, err) = submit_and_wait(&pool, &addr, None, "{\"op\":\"x\"}").unwrap_err();
         assert_eq!(phase, Phase::Exchange);
         assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
         assert!(
@@ -972,30 +996,14 @@ mod tests {
 
     #[test]
     fn a_stalled_backend_does_not_block_exchanges_to_a_healthy_one() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stalled = listener.local_addr().unwrap().to_string();
-        thread::spawn(move || {
-            let mut held = Vec::new();
-            for stream in listener.incoming() {
-                let Ok(stream) = stream else { break };
-                held.push(stream);
-            }
-        });
+        let stalled = stalled_backend();
         let (healthy, _) = echo_backend();
-        let pool = Arc::new(OutboundPool::new(fast_options()).unwrap());
+        let pool = OutboundPool::new(fast_options()).unwrap();
         // Occupy the stalled backend...
-        let (stall_tx, stall_rx) = mpsc::channel();
-        pool.submit(
-            &stalled,
-            Some(0),
-            "stall".into(),
-            Box::new(move |result| {
-                let _ = stall_tx.send(result);
-            }),
-        );
+        let stall_rx = submit(&pool, &stalled, Some(0), "stall");
         // ...and the healthy one still answers promptly.
         let start = Instant::now();
-        let reply = pool.exchange(&healthy, Some(0), "ping").unwrap();
+        let reply = submit_and_wait(&pool, &healthy, Some(0), "ping").unwrap();
         assert_eq!(reply, "ping");
         assert!(
             start.elapsed() < Duration::from_millis(900),
@@ -1009,29 +1017,13 @@ mod tests {
 
     #[test]
     fn retain_fails_pending_work_towards_dropped_backends() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stalled = listener.local_addr().unwrap().to_string();
-        thread::spawn(move || {
-            let mut held = Vec::new();
-            for stream in listener.incoming() {
-                let Ok(stream) = stream else { break };
-                held.push(stream);
-            }
-        });
+        let stalled = stalled_backend();
         let pool = OutboundPool::new(PoolOptions {
             io_timeout: Duration::from_secs(30),
             ..fast_options()
         })
         .unwrap();
-        let (tx, rx) = mpsc::channel();
-        pool.submit(
-            &stalled,
-            None,
-            "x".into(),
-            Box::new(move |result| {
-                let _ = tx.send(result);
-            }),
-        );
+        let rx = submit(&pool, &stalled, None, "x");
         thread::sleep(Duration::from_millis(100));
         pool.retain(&[]);
         let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -1044,32 +1036,30 @@ mod tests {
 
     #[test]
     fn dropping_the_pool_fails_whatever_is_pending() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stalled = listener.local_addr().unwrap().to_string();
-        thread::spawn(move || {
-            let mut held = Vec::new();
-            for stream in listener.incoming() {
-                let Ok(stream) = stream else { break };
-                held.push(stream);
-            }
-        });
+        let stalled = stalled_backend();
         let pool = OutboundPool::new(PoolOptions {
             io_timeout: Duration::from_secs(30),
             ..fast_options()
         })
         .unwrap();
-        let (tx, rx) = mpsc::channel();
-        pool.submit(
-            &stalled,
-            None,
-            "x".into(),
-            Box::new(move |result| {
-                let _ = tx.send(result);
-            }),
-        );
+        let rx = submit(&pool, &stalled, None, "x");
         thread::sleep(Duration::from_millis(100));
         drop(pool);
         let result = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn the_tick_hook_runs_on_the_reactor_sweep() {
+        let pool = OutboundPool::new(fast_options()).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let tx = Mutex::new(tx);
+        pool.on_tick(Box::new(move || {
+            let _ = tx.lock().send(thread::current().name().map(str::to_string));
+        }));
+        for _ in 0..2 {
+            let on = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(on.as_deref(), Some("weber-outbound"));
+        }
     }
 }

@@ -13,31 +13,31 @@
 //! `flush`, `shutdown`) are broadcast to every
 //! backend concurrently and merged ([`crate::merge`]) — dead backends
 //! degrade the answer rather than fail it (and under replication a
-//! snapshot with fewer than R backends down is not degraded at all). Two
-//! ops never touch a backend: `health` reports the router's own view of
-//! the tier, and `topology` swaps the backend set at runtime (persisting
-//! the old ring first so names — and their replicas — migrate through
-//! the shared state directory).
+//! snapshot with fewer than R backends down is not degraded at all).
+//! `health` never touches a backend: it reports the router's own view of
+//! the tier. `topology` swaps the backend set at runtime, persisting the
+//! old ring first so names — and their replicas — migrate through the
+//! shared state directory.
 //!
-//! Every backend exchange rides the shared [`OutboundPool`] reactor, so
-//! forwarding is a *state machine*, not a parked thread: per-name ops
-//! have an asynchronous spine ([`Router::process_line_deferred`]) where
-//! retries, write fan-out and read failover advance from pool completion
-//! callbacks, and [`Router::process_line`] is the blocking wrapper
-//! (submit, wait on a channel) for the stdio front end, the threaded
-//! front end, probes and tests. One stalled backend therefore stalls
-//! only the exchanges addressed to it — never a front-end worker, and
-//! never requests owned by healthy shards.
+//! Every line completes on the shared [`OutboundPool`] reactor, so
+//! routing is a set of *state machines*, not parked threads: retries,
+//! write fan-out, read failover and broadcast joins all advance from pool
+//! completion callbacks, and [`Router::process_line_deferred`] returns as
+//! soon as the first exchange is submitted. One stalled backend therefore
+//! stalls only the exchanges addressed to it — never a front-end worker,
+//! never another client's fan-out, and never requests owned by healthy
+//! shards. Health probes and write-repair replay run from the same
+//! reactor's periodic sweep.
 
 use std::collections::VecDeque;
 use std::io;
-use std::sync::atomic::AtomicBool;
-use std::sync::{mpsc, Arc};
-use std::thread;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use serde::Value;
+use weber_net::Reply;
 use weber_obs::{Counter, Gauge, Histogram, Registry};
 use weber_stream::protocol;
 use weber_stream::StreamError;
@@ -116,6 +116,10 @@ struct Shard {
     /// address (like the counters), so the backlog survives topology
     /// changes that renumber ring indices.
     repair: Mutex<VecDeque<String>>,
+    /// Set while a health probe or a repair replay towards this backend
+    /// is in flight: the reactor's tick starts at most one at a time, so
+    /// two replays never drain the same backlog.
+    maintaining: AtomicBool,
     requests: Arc<Counter>,
     errors: Arc<Counter>,
     retries: Arc<Counter>,
@@ -127,6 +131,7 @@ impl Shard {
             addr: addr.to_string(),
             health: HealthState::new(),
             repair: Mutex::new(VecDeque::new()),
+            maintaining: AtomicBool::new(false),
             requests: registry.counter(&format!("route.backend.{addr}.requests")),
             errors: registry.counter(&format!("route.backend.{addr}.errors")),
             retries: registry.counter(&format!("route.backend.{addr}.retries")),
@@ -140,31 +145,22 @@ struct Topology {
     shards: Vec<Arc<Shard>>,
 }
 
-/// What [`Router::process_line`] did with one request line.
-pub struct LineOutcome {
-    /// The single NDJSON response line.
-    pub response: String,
-    /// True when the request asked the whole tier to stop.
-    pub shutdown: bool,
-}
-
-impl LineOutcome {
-    fn reply(response: String) -> Self {
-        LineOutcome {
-            response,
-            shutdown: false,
-        }
-    }
-}
-
-/// Completion for one fully-routed line (reply tagged and merged).
-pub type LineCallback = Box<dyn FnOnce(LineOutcome) + Send>;
+/// Completion for one routed line: its reply, merged and tagged.
+pub type LineCallback = Box<dyn FnOnce(Reply) + Send>;
 
 /// Completion for one backend exchange after retries.
 type ExchangeDone = Box<dyn FnOnce(Result<String, io::Error>) + Send>;
 
-/// Completion for one forwarded per-name op's finished reply line.
-type ReplyDone = Box<dyn FnOnce(String) + Send>;
+/// Completion for a fan-out: every exchange's result, in target order.
+type JoinDone = Box<dyn FnOnce(Vec<Result<String, io::Error>>) + Send>;
+
+/// A reply that does not end the tier.
+fn reply(line: String) -> Reply {
+    Reply {
+        line,
+        shutdown: false,
+    }
+}
 
 /// The routing tier's state and request loop body. Cheap to share: the
 /// public handle wraps one [`Arc`]'d core, which asynchronous forwarding
@@ -251,9 +247,16 @@ impl Router {
             pool,
         };
         inner.update_gauges();
-        Ok(Router {
-            inner: Arc::new(inner),
-        })
+        let inner = Arc::new(inner);
+        // Probes and repair replay ride the reactor's sweep. The hook holds
+        // a weak handle, so it never keeps a dropped router alive.
+        let weak = Arc::downgrade(&inner);
+        inner.pool.on_tick(Box::new(move || {
+            if let Some(inner) = weak.upgrade() {
+                inner.tick();
+            }
+        }));
+        Ok(Router { inner })
     }
 
     /// Current backend addresses, in ring-index order.
@@ -289,139 +292,81 @@ impl Router {
         Arc::clone(&self.inner.registry)
     }
 
-    /// Swap the backend set. The old ring is asked to `persist` first so
-    /// every name reaches the shared state directory; the new owners then
-    /// restore names lazily on their next touch (`weber serve
-    /// --state-dir` restores transparently). Shards for retained
-    /// addresses are reused, keeping their health records, repair
-    /// backlogs and counters; outbound connections to dropped backends
-    /// are torn down.
-    pub fn set_backends(&self, backends: Vec<String>) -> Result<String, RouterError> {
-        self.inner.set_backends(backends)
-    }
-
-    /// Probe every backend whose probe is due and refresh the gauges.
-    /// Called on a cadence by [`Prober`]; callable directly in tests.
-    pub fn probe_once(&self) {
-        self.inner.probe_once();
-    }
-
-    /// Handle one request line and block until its reply is ready:
-    /// the synchronous surface for the stdio front end, the threaded
-    /// front end, and tests. Always produces exactly one response line.
-    ///
-    /// Per-name ops park only the *calling* thread — the exchanges they
-    /// fan out ride the outbound reactor. Must not be called from a pool
-    /// completion callback (it would wait on itself).
-    pub fn process_line(&self, line: &str) -> LineOutcome {
+    /// Handle one request line without blocking the caller. `done` fires
+    /// exactly once with the reply: before this returns for lines that
+    /// never touch a backend (parse errors, `health`, malformed ops), and
+    /// otherwise from the outbound reactor once every exchange the line
+    /// needs (retries, replica fan-out, failover, broadcast) has resolved.
+    pub fn process_line_deferred(&self, line: &str, done: LineCallback) {
         match dispatch(&self.inner, line) {
-            Routed::Done(outcome) => outcome,
-            Routed::Write { op, name } => {
-                let (tx, rx) = mpsc::channel();
-                forward_write(
-                    &self.inner,
-                    &op,
-                    &name,
-                    line,
-                    Box::new(move |reply| {
-                        let _ = tx.send(reply);
-                    }),
-                );
-                LineOutcome::reply(wait_for_reply(rx))
-            }
-            Routed::Read { op, name } => {
-                let (tx, rx) = mpsc::channel();
-                forward_read(
-                    &self.inner,
-                    &op,
-                    &name,
-                    line,
-                    Box::new(move |reply| {
-                        let _ = tx.send(reply);
-                    }),
-                );
-                LineOutcome::reply(wait_for_reply(rx))
-            }
+            Routed::Done(reply) => done(reply),
+            Routed::Write { op, name } => forward_write(&self.inner, &op, &name, line, done),
+            Routed::Read { op, name } => forward_read(&self.inner, &op, &name, line, done),
+            Routed::Broadcast(op) => fan_out_op(&self.inner, op, line, done),
+            Routed::Topology(backends) => change_topology(&self.inner, backends, done),
         }
     }
 
-    /// Handle one request line without blocking the caller: per-name ops
-    /// return immediately and `done` fires from the outbound reactor when
-    /// the forwarded exchange (retries, fan-out, failover included)
-    /// resolves. This is the event front end's path — the server reactor
-    /// hands a line over and goes back to its sockets.
-    ///
-    /// Lines that never touch a backend (parse errors, `health`,
-    /// malformed per-name ops) complete `done` before returning. Fan-out
-    /// ops (`snapshot`, `shutdown`, …) block the calling thread for the
-    /// broadcast, exactly like [`Self::process_line`] — the event front
-    /// end classifies those onto worker threads, never onto its reactor.
-    pub fn process_line_deferred(&self, line: &str, done: LineCallback) {
+    /// The reply to a line the router answers without any backend
+    /// (`health`, or a line that does not parse), or `None` if the line
+    /// needs the backends.
+    pub(crate) fn answer_locally(&self, line: &str) -> Option<Reply> {
         match dispatch(&self.inner, line) {
-            Routed::Done(outcome) => done(outcome),
-            Routed::Write { op, name } => forward_write(
-                &self.inner,
-                &op,
-                &name,
-                line,
-                Box::new(move |reply| done(LineOutcome::reply(reply))),
-            ),
-            Routed::Read { op, name } => forward_read(
-                &self.inner,
-                &op,
-                &name,
-                line,
-                Box::new(move |reply| done(LineOutcome::reply(reply))),
-            ),
+            Routed::Done(reply) => Some(reply),
+            _ => None,
         }
     }
 }
 
-/// Block on a forwarded reply; a dropped sender (a panicking callback, a
-/// stopping pool) still yields one well-formed error line.
-fn wait_for_reply(rx: mpsc::Receiver<String>) -> String {
-    rx.recv().unwrap_or_else(|_| {
-        protocol::err_response(&StreamError::InvalidRequest(
-            "the routing tier dropped this request while shutting down".into(),
-        ))
-    })
+impl Drop for Router {
+    fn drop(&mut self) {
+        // Join the outbound reactor on the dropping thread. Left to the
+        // last `Arc<Inner>`, which an in-flight completion or the tick may
+        // hold, the join could run on the reactor thread itself.
+        self.inner.pool.stop();
+    }
 }
 
 /// Where one parsed line goes next.
 enum Routed {
-    /// Answered without any asynchronous forwarding.
-    Done(LineOutcome),
-    /// A per-name write (`seed`, `ingest`) for the async fan-out path.
+    /// Answered without any backend.
+    Done(Reply),
+    /// A per-name write for the replicated fan-out.
     Write { op: String, name: String },
-    /// The per-name read (`resolve`) for the async failover path.
+    /// A per-name read for the failover chase.
     Read { op: String, name: String },
+    /// A fan-out op, sent to every backend and merged.
+    Broadcast(String),
+    /// A validated `topology` request: the new backend set.
+    Topology(Vec<String>),
 }
 
-/// Parse and dispatch one line: local answers and (blocking) broadcasts
-/// resolve here; per-name ops come back as [`Routed::Write`]/[`Routed::Read`]
-/// for the caller to drive synchronously or asynchronously.
+fn invalid(detail: &str) -> Routed {
+    Routed::Done(reply(protocol::err_response(&StreamError::InvalidRequest(
+        detail.into(),
+    ))))
+}
+
+/// Parse one line and decide where it goes; only local answers are
+/// produced here.
 fn dispatch(inner: &Arc<Inner>, line: &str) -> Routed {
     inner.requests.inc();
     let value = match serde_json::parse_value(line) {
         Ok(v) => v,
         Err(e) => {
-            return Routed::Done(LineOutcome::reply(protocol::err_response(
-                &StreamError::Parse(e.to_string()),
-            )))
+            return Routed::Done(reply(protocol::err_response(&StreamError::Parse(
+                e.to_string(),
+            ))))
         }
     };
     let Some(op) = value.get("op").and_then(Value::as_str) else {
-        return Routed::Done(LineOutcome::reply(protocol::err_response(
-            &StreamError::InvalidRequest("missing field 'op'".into()),
-        )));
+        return invalid("missing field 'op'");
     };
     let op = op.to_string();
     match op.as_str() {
         "seed" | "ingest" | "resolve" | "same_as" | "constraint" => {
             let Some(name) = value.get("name").and_then(Value::as_str) else {
-                return Routed::Done(LineOutcome::reply(protocol::err_response(
-                    &StreamError::InvalidRequest("field 'name' must be a string".into()),
-                )));
+                return invalid("field 'name' must be a string");
             };
             let name = name.to_string();
             if op == "resolve" {
@@ -445,51 +390,35 @@ fn dispatch(inner: &Arc<Inner>, line: &str) -> Routed {
                 op,
                 name: v.as_str().unwrap().to_string(),
             },
-            Some(v) if !v.is_null() => Routed::Done(LineOutcome::reply(protocol::err_response(
-                &StreamError::InvalidRequest("field 'name' must be a string".into()),
-            ))),
-            _ => {
-                let topo = inner.topology();
-                let outcomes = broadcast_on(inner, &topo, line);
-                let r = inner.replication_for(&topo);
-                Routed::Done(LineOutcome::reply(merge::merge_entities(
-                    &outcomes, &topo.ring, r,
-                )))
-            }
+            Some(v) if !v.is_null() => invalid("field 'name' must be a string"),
+            _ => Routed::Broadcast(op),
         },
-        "health" => Routed::Done(LineOutcome::reply(inner.health_line())),
-        "topology" => Routed::Done(LineOutcome::reply(inner.handle_topology(&value))),
-        "snapshot" => {
-            let topo = inner.topology();
-            let outcomes = broadcast_on(inner, &topo, line);
-            let r = inner.replication_for(&topo);
-            Routed::Done(LineOutcome::reply(merge::merge_snapshot(
-                &outcomes, &topo.ring, r,
-            )))
+        "health" => Routed::Done(reply(inner.health_line())),
+        "topology" => match topology_request(&value) {
+            Ok(backends) => Routed::Topology(backends),
+            Err(detail) => invalid(&detail),
+        },
+        "snapshot" | "metrics" | "persist" | "restore" | "flush" | "shutdown" => {
+            Routed::Broadcast(op)
         }
-        "metrics" => {
-            let outcomes = broadcast(inner, line);
-            Routed::Done(LineOutcome::reply(merge::merge_metrics(
-                inner.registry.snapshot(),
-                &outcomes,
-            )))
-        }
-        "persist" | "restore" => Routed::Done(LineOutcome::reply(merge::merge_count(
-            &op,
-            &broadcast(inner, line),
-        ))),
-        "flush" => Routed::Done(LineOutcome::reply(merge::merge_plain(
-            "flush",
-            &broadcast(inner, line),
-        ))),
-        "shutdown" => Routed::Done(LineOutcome {
-            response: merge::merge_plain("shutdown", &broadcast(inner, line)),
-            shutdown: true,
-        }),
-        other => Routed::Done(LineOutcome::reply(protocol::err_response(
-            &StreamError::InvalidRequest(format!("unknown op '{other}'")),
-        ))),
+        other => invalid(&format!("unknown op '{other}'")),
     }
+}
+
+/// The backend list of a `topology` request, checked like
+/// [`Router::new`]'s.
+fn topology_request(value: &Value) -> Result<Vec<String>, String> {
+    let entries = value
+        .get("backends")
+        .and_then(Value::as_array)
+        .ok_or("field 'backends' must be an array of addresses")?;
+    let backends = entries
+        .iter()
+        .map(|entry| entry.as_str().map(str::to_string))
+        .collect::<Option<Vec<String>>>()
+        .ok_or("backend addresses must be strings")?;
+    validated(&backends).map_err(|e| e.0)?;
+    Ok(backends)
 }
 
 /// One exchange against `shard` with bounded retries, advanced entirely
@@ -546,13 +475,63 @@ fn exchange_with_retry(
     );
 }
 
-/// The in-progress state of one replicated write fan-out: results land
-/// here from completion callbacks (in any order), and the last one in
-/// assembles the client reply.
-struct WriteJoin {
+/// A fan-out in progress: results land from completion callbacks in any
+/// order, and the last one in calls `finish`.
+struct Join {
     results: Vec<Option<Result<String, io::Error>>>,
     remaining: usize,
-    finish: Option<(WriteCtx, ReplyDone)>,
+    finish: Option<JoinDone>,
+}
+
+/// Send `line` to each of `shards` concurrently, each exchange with
+/// bounded retries, and call `finish` once with every result, in `shards`
+/// order, when the last one resolves. The one join behind replicated
+/// writes and broadcasts.
+fn fan_out(
+    inner: &Arc<Inner>,
+    shards: Vec<Arc<Shard>>,
+    key: Option<u64>,
+    line: &str,
+    idempotent: bool,
+    finish: JoinDone,
+) {
+    let join = Arc::new(Mutex::new(Join {
+        results: (0..shards.len()).map(|_| None).collect(),
+        remaining: shards.len(),
+        finish: Some(finish),
+    }));
+    for (pos, shard) in shards.into_iter().enumerate() {
+        shard.requests.inc();
+        let join = Arc::clone(&join);
+        exchange_with_retry(
+            inner,
+            shard,
+            key,
+            line.to_string(),
+            idempotent,
+            0,
+            Box::new(move |result| {
+                let finished = {
+                    let mut join = join.lock();
+                    join.results[pos] = Some(result);
+                    join.remaining -= 1;
+                    if join.remaining == 0 {
+                        let results = join
+                            .results
+                            .drain(..)
+                            .map(|r| r.expect("every exchange of the join resolved"))
+                            .collect();
+                        join.finish.take().map(|finish| (finish, results))
+                    } else {
+                        None
+                    }
+                };
+                if let Some((finish, results)) = finished {
+                    finish(results);
+                }
+            }),
+        );
+    }
 }
 
 struct WriteCtx {
@@ -570,60 +549,35 @@ struct WriteCtx {
 /// tagged with its shard index; with R > 1 it also reports
 /// `replication`/`acked`, plus `degraded` + `repair_pending` when some
 /// replica missed the write (its line is buffered for replay — see
-/// [`Inner::drain_repairs`]). Only when *no* replica acks does the
+/// [`Inner::replay_next`]). Only when *no* replica acks does the
 /// client get an `unreachable` error; nothing is buffered then, because
 /// the client's own retry must stay the single writer (buffering too
 /// would double-apply).
-fn forward_write(inner: &Arc<Inner>, op: &str, name: &str, line: &str, done: ReplyDone) {
+fn forward_write(inner: &Arc<Inner>, op: &str, name: &str, line: &str, done: LineCallback) {
     let topo = inner.topology();
     let r = inner.replication_for(&topo);
     let set = topo.ring.successors(name, r);
-    let idempotent = op != "ingest";
-    let key = Some(fnv1a(name.as_bytes()));
+    let shards = set
+        .iter()
+        .map(|&idx| Arc::clone(&topo.shards[idx]))
+        .collect();
     let ctx = WriteCtx {
         op: op.to_string(),
         name: name.to_string(),
         line: line.to_string(),
-        topo: Arc::clone(&topo),
-        set: set.clone(),
+        topo,
+        set,
         start: Instant::now(),
     };
-    let join = Arc::new(Mutex::new(WriteJoin {
-        results: (0..set.len()).map(|_| None).collect(),
-        remaining: set.len(),
-        finish: Some((ctx, done)),
-    }));
-    for (pos, &idx) in set.iter().enumerate() {
-        let shard = Arc::clone(&topo.shards[idx]);
-        shard.requests.inc();
-        let join = Arc::clone(&join);
-        let inner_cb = Arc::clone(inner);
-        exchange_with_retry(
-            inner,
-            shard,
-            key,
-            line.to_string(),
-            idempotent,
-            0,
-            Box::new(move |result| {
-                let finished = {
-                    let mut join = join.lock();
-                    join.results[pos] = Some(result);
-                    join.remaining -= 1;
-                    if join.remaining == 0 {
-                        let results: Vec<Result<String, io::Error>> =
-                            join.results.drain(..).map(|r| r.unwrap()).collect();
-                        join.finish.take().map(|(ctx, done)| (ctx, done, results))
-                    } else {
-                        None
-                    }
-                };
-                if let Some((ctx, done, results)) = finished {
-                    done(finish_write(&inner_cb, ctx, results));
-                }
-            }),
-        );
-    }
+    let inner_cb = Arc::clone(inner);
+    fan_out(
+        inner,
+        shards,
+        Some(fnv1a(name.as_bytes())),
+        line,
+        op != "ingest",
+        Box::new(move |results| done(reply(finish_write(&inner_cb, ctx, results)))),
+    );
 }
 
 /// Assemble the client reply once every replica of a write resolved.
@@ -693,7 +647,7 @@ struct ReadChase {
     start: Instant,
     pos: usize,
     last_error: Option<io::Error>,
-    done: ReplyDone,
+    done: LineCallback,
 }
 
 /// Forward the per-name read (`resolve`) to the first replica that
@@ -705,7 +659,7 @@ struct ReadChase {
 /// backend but the primary counts as a failover read and is tagged
 /// `failover`/`primary` so clients can see (and operators can count)
 /// reads served by replicas.
-fn forward_read(inner: &Arc<Inner>, op: &str, name: &str, line: &str, done: ReplyDone) {
+fn forward_read(inner: &Arc<Inner>, op: &str, name: &str, line: &str, done: LineCallback) {
     let topo = inner.topology();
     let r = inner.replication_for(&topo);
     let set = topo.ring.successors(name, r);
@@ -745,9 +699,8 @@ fn read_next(inner: &Arc<Inner>, mut chase: ReadChase) {
             .last_error
             .map(|e| e.to_string())
             .unwrap_or_else(|| "no replica answered".into());
-        let reply =
-            inner.unreachable_reply(&chase.op, &chase.name, &chase.topo, &chase.set, &error);
-        (chase.done)(reply);
+        let line = inner.unreachable_reply(&chase.op, &chase.name, &chase.topo, &chase.set, &error);
+        (chase.done)(reply(line));
         return;
     }
     let idx = chase.ordered[chase.pos];
@@ -764,12 +717,12 @@ fn read_next(inner: &Arc<Inner>, mut chase: ReadChase) {
         true,
         0,
         Box::new(move |result| match result {
-            Ok(reply) => {
+            Ok(line) => {
                 inner_cb.forward_us.record_since(chase.start);
                 if idx != chase.primary {
                     inner_cb.failover_reads.inc();
                 }
-                let tagged = match serde_json::parse_value(&reply) {
+                let tagged = match serde_json::parse_value(&line) {
                     Ok(mut v) => {
                         merge::push_field(&mut v, "shard", Value::Number(idx as f64));
                         if idx != chase.primary {
@@ -780,11 +733,11 @@ fn read_next(inner: &Arc<Inner>, mut chase: ReadChase) {
                                 Value::Number(chase.primary as f64),
                             );
                         }
-                        serde_json::to_string(&v).unwrap_or(reply)
+                        serde_json::to_string(&v).unwrap_or(line)
                     }
-                    Err(_) => reply,
+                    Err(_) => line,
                 };
-                (chase.done)(tagged);
+                (chase.done)(reply(tagged));
             }
             Err(e) => {
                 chase.last_error = Some(e);
@@ -795,35 +748,30 @@ fn read_next(inner: &Arc<Inner>, mut chase: ReadChase) {
     );
 }
 
-/// Broadcast `line` to every shard concurrently and collect the
-/// per-shard outcomes (parsed replies or failure messages). Blocks the
-/// calling thread for the slowest backend (bounded by the pool's
-/// timeouts) — callers are worker, stdio or probe threads, never the
-/// outbound reactor.
-fn broadcast(inner: &Arc<Inner>, line: &str) -> Vec<ShardOutcome> {
-    let topo = inner.topology();
-    broadcast_on(inner, &topo, line)
-}
-
-/// [`broadcast`] against a caller-held topology snapshot, so an op that
-/// also needs the matching ring (the snapshot merge) cannot race a
-/// concurrent `topology` swap between fan-out and merge.
-fn broadcast_on(inner: &Arc<Inner>, topo: &Arc<Topology>, line: &str) -> Vec<ShardOutcome> {
+/// Broadcast `line` to every shard of `topo` and hand `finish` the
+/// per-shard outcomes (parsed replies or failure messages), in ring-index
+/// order.
+fn fan_out_to_all(
+    inner: &Arc<Inner>,
+    topo: &Topology,
+    line: &str,
+    finish: impl FnOnce(Vec<ShardOutcome>) + Send + 'static,
+) {
     let start = Instant::now();
-    let (tx, rx) = mpsc::channel();
-    for (index, shard) in topo.shards.iter().enumerate() {
-        shard.requests.inc();
-        let tx = tx.clone();
-        let addr = shard.addr.clone();
-        exchange_with_retry(
-            inner,
-            Arc::clone(shard),
-            None,
-            line.to_string(),
-            true,
-            0,
-            Box::new(move |result| {
-                let outcome = ShardOutcome {
+    let addrs: Vec<String> = topo.shards.iter().map(|s| s.addr.clone()).collect();
+    let inner_cb = Arc::clone(inner);
+    fan_out(
+        inner,
+        topo.shards.clone(),
+        None,
+        line,
+        true,
+        Box::new(move |results| {
+            let outcomes = results
+                .into_iter()
+                .zip(addrs)
+                .enumerate()
+                .map(|(index, (result, addr))| ShardOutcome {
                     index,
                     addr,
                     result: match result {
@@ -831,32 +779,67 @@ fn broadcast_on(inner: &Arc<Inner>, topo: &Arc<Topology>, line: &str) -> Vec<Sha
                             .map_err(|e| format!("malformed reply: {e}")),
                         Err(e) => Err(e.to_string()),
                     },
-                };
-                let _ = tx.send(outcome);
-            }),
-        );
-    }
-    drop(tx);
-    // A callback that died with the pool simply never sends; degrade its
-    // shard instead of hanging or panicking the broadcast.
-    let mut outcomes: Vec<ShardOutcome> = rx.iter().collect();
-    let mut answered: Vec<bool> = vec![false; topo.shards.len()];
-    for outcome in &outcomes {
-        answered[outcome.index] = true;
-    }
-    for (index, shard) in topo.shards.iter().enumerate() {
-        if !answered[index] {
-            outcomes.push(ShardOutcome {
-                index,
-                addr: shard.addr.clone(),
-                result: Err("the outbound pool dropped this exchange".into()),
-            });
-        }
-    }
-    outcomes.sort_by_key(|o| o.index);
-    inner.fanout_us.record_since(start);
-    inner.update_gauges();
-    outcomes
+                })
+                .collect();
+            inner_cb.fanout_us.record_since(start);
+            inner_cb.update_gauges();
+            finish(outcomes);
+        }),
+    );
+}
+
+/// Broadcast a fan-out op (`snapshot`, name-less `entities`, `metrics`,
+/// `persist`, `restore`, `flush`, `shutdown`) and merge the replies. The
+/// merge uses the ring the broadcast went to, so a concurrent `topology`
+/// swap cannot pair one ring's replies with another ring.
+fn fan_out_op(inner: &Arc<Inner>, op: String, line: &str, done: LineCallback) {
+    let topo = inner.topology();
+    let inner_cb = Arc::clone(inner);
+    let merge_topo = Arc::clone(&topo);
+    fan_out_to_all(inner, &topo, line, move |outcomes| {
+        let r = inner_cb.replication_for(&merge_topo);
+        let line = match op.as_str() {
+            "snapshot" => merge::merge_snapshot(&outcomes, &merge_topo.ring, r),
+            "entities" => merge::merge_entities(&outcomes, &merge_topo.ring, r),
+            "metrics" => merge::merge_metrics(inner_cb.registry.snapshot(), &outcomes),
+            "persist" | "restore" => merge::merge_count(&op, &outcomes),
+            _ => merge::merge_plain(&op, &outcomes),
+        };
+        done(Reply {
+            line,
+            shutdown: op == "shutdown",
+        });
+    });
+}
+
+/// Swap the backend set. The old ring is asked to `persist` first, and
+/// the swap happens when that broadcast completes, so every name reaches
+/// the shared state directory before its owner changes; the new owners
+/// then restore names lazily on their next touch (`weber serve
+/// --state-dir` restores transparently).
+fn change_topology(inner: &Arc<Inner>, backends: Vec<String>, done: LineCallback) {
+    let topo = inner.topology();
+    let inner_cb = Arc::clone(inner);
+    fan_out_to_all(inner, &topo, r#"{"op":"persist"}"#, move |outcomes| {
+        let persisted: u64 = outcomes
+            .iter()
+            .filter_map(|o| o.result.as_ref().ok())
+            .filter(|v| v.get("ok").and_then(Value::as_bool) == Some(true))
+            .filter_map(|v| v.get("names").and_then(Value::as_u64))
+            .sum();
+        inner_cb.swap_ring(&backends);
+        let mut fields = vec![
+            ("ok", Value::Bool(true)),
+            ("op", Value::String("topology".into())),
+            (
+                "backends",
+                Value::Array(backends.into_iter().map(Value::String).collect()),
+            ),
+            ("persisted", Value::Number(persisted as f64)),
+        ];
+        fields.extend(merge::degraded_fields(&outcomes));
+        done(reply(merge::render(&merge::object(fields))));
+    });
 }
 
 impl Inner {
@@ -926,36 +909,100 @@ impl Inner {
         queue.push_back(line.to_string());
     }
 
-    /// Replay a recovered backend's buffered writes in arrival order.
-    /// Stops at the first transport failure (the line goes back to the
-    /// front of the queue for the next probe). A transport-acked replay
-    /// whose reply is `ok:false` is dropped, not retried — replaying it
-    /// again cannot change the answer; full convergence then needs a
-    /// restore from the shared state directory or a re-seed. Runs on the
-    /// probe thread, blocking on each replay so order is preserved.
-    fn drain_repairs(&self, shard: &Shard) {
-        loop {
-            let Some(line) = shard.repair.lock().pop_front() else {
-                return;
-            };
-            match self.pool.exchange(&shard.addr, None, &line) {
-                Ok(_) => {
-                    shard.health.mark_success(self.options.probe_interval);
-                    self.replica_lag_repairs.inc();
-                }
-                Err((_, e)) => {
-                    shard.repair.lock().push_front(line);
-                    shard
-                        .health
-                        .mark_failure(&e.to_string(), self.options.probe_interval);
-                    return;
-                }
+    /// One maintenance pass, run from the outbound reactor's sweep: probe
+    /// every backend whose probe is due, and start replaying the repair
+    /// backlog of healthy ones. At most one probe or replay per backend
+    /// is in flight at a time.
+    fn tick(self: &Arc<Self>) {
+        let now = Instant::now();
+        for shard in &self.topology().shards {
+            if shard.maintaining.swap(true, Ordering::SeqCst) {
+                continue;
+            }
+            if shard.health.probe_due(now) {
+                self.probe(Arc::clone(shard));
+            } else {
+                self.replay_next(Arc::clone(shard));
             }
         }
+        self.update_gauges();
+    }
+
+    /// Send one `health` probe; its completion records the result and
+    /// goes on to repair replay.
+    fn probe(self: &Arc<Self>, shard: Arc<Shard>) {
+        let inner = Arc::clone(self);
+        let addr = shard.addr.clone();
+        self.pool.submit(
+            &addr,
+            None,
+            r#"{"op":"health"}"#.into(),
+            Box::new(move |result| {
+                let interval = inner.options.probe_interval;
+                match result {
+                    Ok(reply) => {
+                        let ok = serde_json::parse_value(&reply)
+                            .ok()
+                            .and_then(|v| v.get("ok").and_then(Value::as_bool));
+                        if ok == Some(true) {
+                            shard.health.mark_success(interval);
+                        } else {
+                            shard
+                                .health
+                                .mark_failure("health probe got a not-ok reply", interval);
+                        }
+                    }
+                    Err((_, e)) => shard.health.mark_failure(&e.to_string(), interval),
+                }
+                inner.replay_next(shard);
+            }),
+        );
+    }
+
+    /// Replay the oldest buffered write to a healthy backend, and chain
+    /// the next one on its ack, so the backlog drains in arrival order;
+    /// once it is empty, or the backend is down, the shard's maintenance
+    /// ends. A transport failure puts the line back at the front for a
+    /// later tick. A transport-acked replay whose reply is `ok:false` is
+    /// dropped, not retried — replaying it again cannot change the
+    /// answer; full convergence then needs a restore from the shared
+    /// state directory or a re-seed.
+    fn replay_next(self: &Arc<Self>, shard: Arc<Shard>) {
+        let next = if shard.health.is_healthy() {
+            shard.repair.lock().pop_front()
+        } else {
+            None
+        };
+        let Some(line) = next else {
+            shard.maintaining.store(false, Ordering::SeqCst);
+            return;
+        };
+        let inner = Arc::clone(self);
+        let addr = shard.addr.clone();
+        self.pool.submit(
+            &addr,
+            None,
+            line.clone(),
+            Box::new(move |result| {
+                let interval = inner.options.probe_interval;
+                match result {
+                    Ok(_) => {
+                        shard.health.mark_success(interval);
+                        inner.replica_lag_repairs.inc();
+                        inner.replay_next(shard);
+                    }
+                    Err((_, e)) => {
+                        shard.repair.lock().push_front(line);
+                        shard.health.mark_failure(&e.to_string(), interval);
+                        shard.maintaining.store(false, Ordering::SeqCst);
+                    }
+                }
+            }),
+        );
     }
 
     /// The router's `health` reply: its own uptime and per-shard health,
-    /// answered without contacting any backend (the prober and routed
+    /// answered without contacting any backend (probes and routed
     /// traffic keep the records fresh). A saturated or half-dead tier
     /// still answers its probes — cheap enough that the event front end
     /// answers it straight from its reactor.
@@ -1002,161 +1049,58 @@ impl Inner {
         ]))
     }
 
-    fn set_backends(self: &Arc<Self>, backends: Vec<String>) -> Result<String, RouterError> {
-        validated(&backends)?;
-        let persist_outcomes = broadcast(self, r#"{"op":"persist"}"#);
-        let persisted: u64 = persist_outcomes
-            .iter()
-            .filter_map(|o| o.result.as_ref().ok())
-            .filter(|v| v.get("ok").and_then(Value::as_bool) == Some(true))
-            .filter_map(|v| v.get("names").and_then(Value::as_u64))
-            .sum();
-        let shards: Vec<Arc<Shard>> = {
-            let old = self.topology();
-            backends
+    /// Install a new ring over `backends`. Shards for retained addresses
+    /// are reused, keeping their health records, repair backlogs and
+    /// counters; outbound connections to dropped backends are torn down
+    /// (exchanges still pending towards them fail over normally).
+    fn swap_ring(&self, backends: &[String]) {
+        {
+            let mut current = self.topology.write();
+            let shards = backends
                 .iter()
                 .map(|addr| {
-                    old.shards
+                    current
+                        .shards
                         .iter()
                         .find(|s| s.addr == *addr)
                         .cloned()
                         .unwrap_or_else(|| Arc::new(Shard::new(addr, &self.registry)))
                 })
-                .collect()
-        };
-        let ring = HashRing::new(&backends, self.options.vnodes);
-        *self.topology.write() = Arc::new(Topology { ring, shards });
-        // Tear down pooled connections to backends that left the ring
-        // (exchanges still pending towards them fail over normally).
-        self.pool.retain(&backends);
+                .collect();
+            let ring = HashRing::new(backends, self.options.vnodes);
+            *current = Arc::new(Topology { ring, shards });
+        }
+        self.pool.retain(backends);
         self.update_gauges();
-        let mut fields = vec![
-            ("ok", Value::Bool(true)),
-            ("op", Value::String("topology".into())),
-            (
-                "backends",
-                Value::Array(backends.into_iter().map(Value::String).collect()),
-            ),
-            ("persisted", Value::Number(persisted as f64)),
-        ];
-        fields.extend(merge::degraded_fields(&persist_outcomes));
-        Ok(merge::render(&merge::object(fields)))
-    }
-
-    fn handle_topology(self: &Arc<Self>, value: &Value) -> String {
-        let Some(entries) = value.get("backends").and_then(Value::as_array) else {
-            return protocol::err_response(&StreamError::InvalidRequest(
-                "field 'backends' must be an array of addresses".into(),
-            ));
-        };
-        let mut backends = Vec::with_capacity(entries.len());
-        for entry in entries {
-            match entry.as_str() {
-                Some(addr) => backends.push(addr.to_string()),
-                None => {
-                    return protocol::err_response(&StreamError::InvalidRequest(
-                        "backend addresses must be strings".into(),
-                    ))
-                }
-            }
-        }
-        match self.set_backends(backends) {
-            Ok(line) => line,
-            Err(e) => protocol::err_response(&StreamError::InvalidRequest(e.0)),
-        }
-    }
-
-    /// Probe every backend whose probe is due and refresh the gauges.
-    /// Blocking exchanges on the probe thread, riding the same outbound
-    /// reactor as routed traffic (one socket story, one timeout story).
-    fn probe_once(&self) {
-        let topo = self.topology();
-        let now = Instant::now();
-        for shard in &topo.shards {
-            if !shard.health.probe_due(now) {
-                continue;
-            }
-            match self.pool.exchange(&shard.addr, None, r#"{"op":"health"}"#) {
-                Ok(reply) => {
-                    let ok = serde_json::parse_value(&reply)
-                        .ok()
-                        .and_then(|v| v.get("ok").and_then(Value::as_bool));
-                    if ok == Some(true) {
-                        shard.health.mark_success(self.options.probe_interval);
-                    } else {
-                        shard.health.mark_failure(
-                            "health probe got a not-ok reply",
-                            self.options.probe_interval,
-                        );
-                    }
-                }
-                Err((_, e)) => shard
-                    .health
-                    .mark_failure(&e.to_string(), self.options.probe_interval),
-            }
-        }
-        // Recovered backends drain their write-repair backlog here: the
-        // probe that found them healthy doubles as the replay trigger.
-        for shard in &topo.shards {
-            if shard.health.is_healthy() && !shard.repair.lock().is_empty() {
-                self.drain_repairs(shard);
-            }
-        }
-        self.update_gauges();
-    }
-}
-
-/// How often the probe thread wakes to check which probes are due.
-const PROBE_TICK: Duration = Duration::from_millis(50);
-
-/// Handle to the background probe thread; stops and joins on drop.
-pub struct Prober {
-    stop: Arc<AtomicBool>,
-    handle: Option<thread::JoinHandle<()>>,
-}
-
-impl Prober {
-    /// Stop and join the probe thread.
-    pub fn stop(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Prober {
-    fn drop(&mut self) {
-        self.halt();
-    }
-}
-
-/// Spawn the background probe loop for `router`.
-pub fn spawn_prober(router: Arc<Router>) -> Prober {
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&stop);
-    let handle = thread::spawn(move || {
-        while !flag.load(std::sync::atomic::Ordering::Relaxed) {
-            router.probe_once();
-            thread::sleep(PROBE_TICK);
-        }
-    });
-    Prober {
-        stop,
-        handle: Some(handle),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::thread;
 
     fn addrs(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("127.0.0.1:{}", 7100 + i)).collect()
+    }
+
+    /// Route one line and wait for its reply.
+    fn route(router: &Router, line: &str) -> Reply {
+        let (tx, rx) = mpsc::channel();
+        router.process_line_deferred(
+            line,
+            Box::new(move |reply| {
+                let _ = tx.send(reply);
+            }),
+        );
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("every line is answered")
+    }
+
+    fn kind(reply: &Reply) -> Option<String> {
+        let v = serde_json::parse_value(&reply.line).unwrap();
+        v.get("kind").and_then(Value::as_str).map(str::to_string)
     }
 
     #[test]
@@ -1178,24 +1122,26 @@ mod tests {
     #[test]
     fn malformed_lines_and_unknown_ops_are_answered_locally() {
         let router = Router::new(addrs(2), RouterOptions::default()).unwrap();
-        let out = router.process_line("not json");
-        let v = serde_json::parse_value(&out.response).unwrap();
-        assert_eq!(v.get("kind").unwrap().as_str(), Some("parse"));
-        let out = router.process_line(r#"{"op":"frobnicate"}"#);
-        let v = serde_json::parse_value(&out.response).unwrap();
-        assert_eq!(v.get("kind").unwrap().as_str(), Some("invalid-request"));
-        let out = router.process_line(r#"{"op":"ingest","text":"no name"}"#);
-        let v = serde_json::parse_value(&out.response).unwrap();
-        assert_eq!(v.get("kind").unwrap().as_str(), Some("invalid-request"));
+        assert_eq!(kind(&route(&router, "not json")).as_deref(), Some("parse"));
+        for line in [
+            r#"{"op":"frobnicate"}"#,
+            r#"{"op":"ingest","text":"no name"}"#,
+        ] {
+            assert_eq!(
+                kind(&route(&router, line)).as_deref(),
+                Some("invalid-request"),
+                "{line}"
+            );
+        }
     }
 
     #[test]
     fn health_answers_without_backends() {
         // Nothing listens on these ports; health must still answer.
         let router = Router::new(addrs(2), RouterOptions::default()).unwrap();
-        let out = router.process_line(r#"{"op":"health"}"#);
+        let out = route(&router, r#"{"op":"health"}"#);
         assert!(!out.shutdown);
-        let v = serde_json::parse_value(&out.response).unwrap();
+        let v = serde_json::parse_value(&out.line).unwrap();
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("backends").unwrap().as_u64(), Some(2));
         assert_eq!(v.get("shards").unwrap().as_array().unwrap().len(), 2);
@@ -1210,7 +1156,7 @@ mod tests {
             r#"{"op":"topology","backends":[7]}"#,
             r#"{"op":"topology","backends":["a:1","a:1"]}"#,
         ] {
-            let v = serde_json::parse_value(&router.process_line(bad).response).unwrap();
+            let v = serde_json::parse_value(&route(&router, bad).line).unwrap();
             assert_eq!(v.get("ok").unwrap().as_bool(), Some(false), "{bad}");
             assert_eq!(v.get("kind").unwrap().as_str(), Some("invalid-request"));
         }
@@ -1222,13 +1168,13 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         router.process_line_deferred(
             r#"{"op":"health"}"#,
-            Box::new(move |outcome| {
-                let _ = tx.send(outcome);
+            Box::new(move |reply| {
+                let _ = tx.send(reply);
             }),
         );
         // Local ops complete synchronously inside the call.
-        let outcome = rx.try_recv().expect("health answers inline");
-        let v = serde_json::parse_value(&outcome.response).unwrap();
+        let reply = rx.try_recv().expect("health answers inline");
+        let v = serde_json::parse_value(&reply.line).unwrap();
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
     }
 
@@ -1242,15 +1188,40 @@ mod tests {
             ..RouterOptions::default()
         };
         let router = Router::new(addrs(2), options).unwrap();
+        let reply = route(&router, r#"{"op":"resolve","name":"cohen","text":"x"}"#);
+        assert_eq!(kind(&reply).as_deref(), Some("unreachable"));
+    }
+
+    #[test]
+    fn dropping_the_router_answers_in_flight_lines_and_joins_the_reactor_here() {
+        // The resolve can only end by timing out (30 s) or by the router
+        // stopping its pool.
+        let addr = crate::pool::tests::stalled_backend();
+        let options = RouterOptions {
+            retries: 0,
+            ..RouterOptions::default()
+        };
+        let router = Router::new(vec![addr], options).unwrap();
         let (tx, rx) = mpsc::channel();
         router.process_line_deferred(
-            r#"{"op":"resolve","name":"cohen","text":"x"}"#,
-            Box::new(move |outcome| {
-                let _ = tx.send(outcome);
+            r#"{"op":"resolve","name":"cohen"}"#,
+            Box::new(move |reply| {
+                let on = thread::current().name().map(str::to_string);
+                let _ = tx.send((reply, on));
             }),
         );
-        let outcome = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        let v = serde_json::parse_value(&outcome.response).unwrap();
-        assert_eq!(v.get("kind").unwrap().as_str(), Some("unreachable"));
+        // The in-flight completion holds the router core, so the old drop
+        // left the join to whichever thread released it last — the
+        // reactor, which then tried to join itself. Now `drop` returns only
+        // after this thread joined the reactor, which failed the resolve
+        // on its way out.
+        let started = Instant::now();
+        drop(router);
+        let (reply, on) = rx
+            .try_recv()
+            .expect("the resolve is answered before drop returns");
+        assert!(started.elapsed() < Duration::from_secs(10));
+        assert_eq!(kind(&reply).as_deref(), Some("unreachable"));
+        assert_eq!(on.as_deref(), Some("weber-outbound"));
     }
 }

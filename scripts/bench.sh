@@ -255,7 +255,7 @@ run_route_pass() {
     rport=$(pick_port)
     blist=$(IFS=,; echo "${backends[*]}")
     target/release/weber route --backends "$blist" --listen "127.0.0.1:$rport" \
-        --replication "$ROUTE_REPLICATION" --workers 2 --queue 1024 \
+        --replication "$ROUTE_REPLICATION" \
         --max-connections $((ROUTE_LOADED_CONNS + 64)) >>"$WORK/route.log" 2>&1 &
     ROUTE_PIDS+=($!)
     for _ in $(seq 1 100); do

@@ -19,7 +19,6 @@
 //! weber route    --backends ADDR,ADDR,... [--listen ADDR] [--replication R]
 //!                [--vnodes N] [--retries N] [--pool N]
 //!                [--probe-interval SECS] [--max-connections N]
-//!                [--workers N] [--queue N]
 //!                [--idle-timeout SECS] [--max-pipeline N]
 //! weber loadgen  --connect ADDR [--connections N] [--duration SECS]
 //!                [--warmup SECS] [--mode open|closed] [--rate OPS]
@@ -40,9 +39,7 @@ use weber::corpus::{
     DirtyCorpus,
 };
 use weber::eval::MetricSet;
-use weber::shard::{
-    route_stdio, route_tcp_with, spawn_prober, FrontOptions, Router, RouterOptions,
-};
+use weber::shard::{route_stdio, route_tcp_with, FrontOptions, Router, RouterOptions};
 use weber::simfun::functions::subset_i10;
 use weber::stream::{serve_stdio, serve_tcp, StreamConfig, StreamResolver, TcpOptions};
 use weber::textindex::TfIdf;
@@ -69,7 +66,6 @@ USAGE:
   weber route     --backends ADDR,ADDR,... [--listen ADDR] [--replication R]
                   [--vnodes N] [--retries N] [--pool N]
                   [--probe-interval SECS] [--max-connections N]
-                  [--workers N] [--queue N]
                   [--idle-timeout SECS] [--max-pipeline N]
   weber loadgen   --connect ADDR [--connections N] [--duration SECS]
                   [--warmup SECS] [--mode open|closed] [--rate OPS]
@@ -141,8 +137,9 @@ epoll reactor multiplexes every pooled backend socket (--pool per
 backend, default 2), so a stalled backend ties up zero router threads —
 its exchanges time out and answer \"unreachable\" while healthy shards
 keep serving; snapshot, name-less entities, metrics, persist, restore,
-flush and shutdown fan out to every backend and merge, degrading (\"degraded\":true plus the
-unreachable shard list) instead of failing when backends are down.
+flush and shutdown fan out to every backend on the same reactor and
+merge, degrading (\"degraded\":true plus the unreachable shard list)
+instead of failing when backends are down.
 --vnodes N (default 64) sets the ring's virtual nodes per backend (the
 old --replicas alias is gone — it never set the replication factor).
 {\"op\":\"health\"} reports the router's own probe-driven view of the
@@ -150,8 +147,8 @@ tier; {\"op\":\"topology\",\"backends\":[...]} re-shards at runtime,
 persisting the old ring first so names migrate through a shared
 --state-dir. Backends are probed every --probe-interval seconds
 (default 1) with exponential backoff while down. The front end takes the
-same --idle-timeout / --max-pipeline / --workers / --queue tuning as
-serve.
+same --idle-timeout / --max-pipeline tuning as serve; it has no worker
+pool to size, so --workers and --queue are refused.
 
 The loadgen command drives either front end with NDJSON traffic from one
 reactor thread holding --connections persistent sockets (default 100):
@@ -538,8 +535,7 @@ fn front_tuning(
             "--io has been removed: every front end, stdin/stdout included, now runs \
              on the one epoll reactor (the old default, --io event), and the \
              thread-per-connection mode (--io threads) is gone. Drop the flag; \
-             --workers, --queue, --max-pipeline and --idle-timeout still tune the \
-             reactor."
+             --max-pipeline and --idle-timeout still tune the reactor."
                 .into(),
         );
     }
@@ -720,6 +716,15 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), String> {
     if probe_secs == 0 {
         return Err("--probe-interval must be at least 1 second".into());
     }
+    for flag in ["workers", "queue"] {
+        if flags.contains_key(flag) {
+            return Err(format!(
+                "--{flag} has been removed from route: every routed op completes on the \
+                 outbound reactor, so the router has no worker pool to size. Drop the flag; \
+                 --max-pipeline and --max-connections bound the load it admits."
+            ));
+        }
+    }
     if flags.contains_key("replicas") {
         return Err(
             "--replicas has been removed: it set virtual nodes per backend, not the \
@@ -750,15 +755,12 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), String> {
     };
     let (idle_timeout, max_pipeline) = front_tuning(flags)?;
     let front = FrontOptions {
-        workers: parse(flags, "workers", 4)?,
-        queue_capacity: parse(flags, "queue", 256)?,
         max_connections,
         idle_timeout,
         max_pipeline,
     };
     let router =
         std::sync::Arc::new(Router::new(backends.clone(), options).map_err(|e| e.to_string())?);
-    let prober = spawn_prober(router.clone());
     let handled = match flags.get("listen") {
         Some(addr) => {
             eprintln!(
@@ -774,11 +776,9 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), String> {
                 backends.len(),
                 backends.join(", ")
             );
-            route_stdio(router.clone(), front.workers, front.queue_capacity)
-                .map_err(|e| e.to_string())?
+            route_stdio(router.clone()).map_err(|e| e.to_string())?
         }
     };
-    prober.stop();
     eprintln!("routed {handled} requests");
     Ok(())
 }

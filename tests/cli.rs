@@ -172,19 +172,26 @@ fn route_answers_stdin_from_a_regular_file_and_dev_null() {
 /// `--io` chose between the reactor and a thread-per-connection front
 /// end; both front ends now always run on the reactor.
 #[test]
-fn io_flag_is_refused_with_an_explanation() {
-    for command in [&["serve"][..], &["route", "--backends", "127.0.0.1:1"][..]] {
-        for mode in ["event", "threads"] {
-            let out = weber()
-                .args(command)
-                .args(["--io", mode])
-                .stdin(std::process::Stdio::null())
-                .output()
-                .unwrap();
-            assert_eq!(out.status.code(), Some(1), "{command:?} --io {mode}");
-            let err = String::from_utf8_lossy(&out.stderr);
-            assert!(err.contains("--io has been removed"), "{err}");
-        }
+fn removed_flags_are_refused_with_an_explanation() {
+    let route = ["route", "--backends", "127.0.0.1:1"];
+    let cases: [(&[&str], &[&str], &str); 6] = [
+        (&["serve"], &["--io", "event"], "--io has been removed"),
+        (&["serve"], &["--io", "threads"], "--io has been removed"),
+        (&route, &["--io", "event"], "--io has been removed"),
+        (&route, &["--io", "threads"], "--io has been removed"),
+        (&route, &["--workers", "4"], "--workers has been removed"),
+        (&route, &["--queue", "256"], "--queue has been removed"),
+    ];
+    for (command, flag, message) in cases {
+        let out = weber()
+            .args(command)
+            .args(flag)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{command:?} {flag:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{err}");
     }
 }
 
