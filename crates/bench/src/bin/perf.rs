@@ -8,20 +8,24 @@
 //!   is the end-to-end ingest path `weber serve` runs per request.
 //! - **pipeline**: batch-resolve one prepared block of `--pipeline-docs`
 //!   documents under the default configuration (all ten functions, three
-//!   criteria, best-graph selection).
+//!   criteria, best-graph selection). The report's `meta_block` case does
+//!   the same on the 1,200-document block meta-blocking makes of the
+//!   `dirty` preset, with each function's full-graph build time.
 //!
 //! Reports carry documents-per-second / pairs-per-second so runs are
 //! comparable across machines only in ratio form; pass `--stream-baseline`
 //! / `--pipeline-baseline` pointing at an earlier report to get a
 //! `speedup` field computed against it. `scripts/bench.sh` wires this up.
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
+use weber_block::{Blocker, BlockingConfig, DocRecord};
 use weber_core::resolver::{Resolver, ResolverConfig};
 use weber_core::supervision::Supervision;
-use weber_corpus::{generate, presets};
+use weber_corpus::{dirty, generate, generate_dirty, presets};
 use weber_extract::features::PageFeatures;
 use weber_extract::pipeline::Extractor;
 use weber_simfun::block::{PreparedBlock, WordVectorScheme};
@@ -61,6 +65,29 @@ struct PipelineReport {
     baseline_wall_seconds: Option<f64>,
     baseline_pairs_per_second: Option<f64>,
     speedup: Option<f64>,
+    /// The same resolve on the `dirty` preset's meta-block.
+    meta_block: Option<MetaBlockReport>,
+}
+
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct MetaBlockReport {
+    /// Corpus seed of the `dirty` preset.
+    seed: u64,
+    block_docs: u64,
+    /// `functions × n·(n−1)/2`, as in the 120-document case.
+    pairs_scored: u64,
+    reps: u64,
+    /// Best wall time over the reps, seconds (resolve only).
+    wall_seconds: f64,
+    pairs_per_second: f64,
+    /// Mean full-graph build time per function over the reps, µs
+    /// (`simfun.graph_build_us.<function>`). Measured one function at a
+    /// time on a fresh block, so the figures do not overlap: inside
+    /// `resolve` the builds run concurrently on per-function threads. Built
+    /// alone, each of F8–F10 includes building the dot-product graph
+    /// (`word_dots`, also listed on its own), which inside `resolve` the
+    /// three share.
+    graph_build_us: BTreeMap<String, u64>,
 }
 
 struct Options {
@@ -72,6 +99,8 @@ struct Options {
     stream_baseline: Option<String>,
     pipeline_baseline: Option<String>,
     bench_out: Option<String>,
+    /// Small sizes, one rep, no meta-block case.
+    smoke: bool,
 }
 
 impl Default for Options {
@@ -85,6 +114,7 @@ impl Default for Options {
             stream_baseline: None,
             pipeline_baseline: None,
             bench_out: None,
+            smoke: false,
         }
     }
 }
@@ -114,6 +144,7 @@ fn parse_args() -> Options {
                 opts.docs = 40;
                 opts.pipeline_docs = 40;
                 opts.reps = 1;
+                opts.smoke = true;
             }
             other => panic!("unknown argument: {other}"),
         }
@@ -163,6 +194,96 @@ fn run_stream(total: usize) -> (f64, usize) {
     let secs = start.elapsed().as_secs_f64();
     std::hint::black_box(stream.partition(&source.query_name).unwrap());
     (secs, seed_docs.len())
+}
+
+/// The largest candidate block meta-blocking makes of the `dirty` preset
+/// (all 1,200 documents at the default seed), prepared, with supervision
+/// on a 10% truth sample.
+fn meta_block(seed: u64) -> (PreparedBlock, Supervision) {
+    let corpus = generate_dirty(&dirty(seed));
+    let records: Vec<DocRecord> = corpus
+        .documents
+        .iter()
+        .map(|d| DocRecord {
+            text: &d.text,
+            url: d.url.as_deref(),
+        })
+        .collect();
+    let blocks = Blocker::new(BlockingConfig::default()).block(&records);
+    let members = blocks
+        .blocks
+        .into_iter()
+        .max_by_key(Vec::len)
+        .expect("the dirty preset blocks into at least one candidate block");
+    let extractor = Extractor::new(&corpus.gazetteer);
+    let docs: Vec<_> = members
+        .iter()
+        .map(|&d| &corpus.documents[d as usize])
+        .collect();
+    let features = docs
+        .iter()
+        .map(|d| extractor.extract(&d.text, d.url.as_deref()))
+        .collect();
+    let block = PreparedBlock::with_scheme("meta", features, WordVectorScheme::default());
+    let truth = weber_graph::Partition::from_labels(docs.iter().map(|d| d.entity).collect());
+    (block, Supervision::sample_from_truth(&truth, 0.1, seed))
+}
+
+/// Sum and count of every `simfun.graph_build_us.<function>` histogram.
+fn graph_build_totals() -> BTreeMap<String, (u64, u64)> {
+    weber_obs::Registry::global()
+        .snapshot()
+        .histograms
+        .iter()
+        .filter_map(|h| {
+            let f = h.name.strip_prefix("simfun.graph_build_us.")?;
+            Some((f.to_string(), (h.sum, h.count)))
+        })
+        .collect()
+}
+
+/// Resolve the meta-block `reps` times, each on a freshly prepared block
+/// (cold similarity cache), and report the best wall time; then build each
+/// function's graph alone on a fresh block, `reps` times, for the mean
+/// per-function build times.
+fn run_meta_block(seed: u64, reps: usize) -> MetaBlockReport {
+    let resolver = Resolver::new(ResolverConfig::default()).unwrap();
+    let functions = &resolver.config().functions;
+    let mut best = f64::INFINITY;
+    let mut n = 0;
+    for _ in 0..reps {
+        let (block, sup) = meta_block(seed);
+        n = block.len() as u64;
+        let start = Instant::now();
+        let resolution = resolver.resolve(&block, &sup).unwrap();
+        best = best.min(start.elapsed().as_secs_f64());
+        std::hint::black_box(resolution.partition.len());
+    }
+    let before = graph_build_totals();
+    for _ in 0..reps {
+        let (block, _) = meta_block(seed);
+        for f in functions {
+            std::hint::black_box(block.similarity_graph_with(f.as_ref(), None));
+        }
+    }
+    let graph_build_us = graph_build_totals()
+        .into_iter()
+        .filter_map(|(f, (sum, count))| {
+            let (sum0, count0) = before.get(&f).copied().unwrap_or_default();
+            let builds = count - count0;
+            (builds > 0).then(|| (f, (sum - sum0) / builds))
+        })
+        .collect();
+    let pairs = functions.len() as u64 * n * (n - 1) / 2;
+    MetaBlockReport {
+        seed,
+        block_docs: n,
+        pairs_scored: pairs,
+        reps: reps as u64,
+        wall_seconds: best,
+        pairs_per_second: pairs as f64 / best,
+        graph_build_us,
+    }
 }
 
 /// One timed batch resolve over a freshly prepared `n`-document block
@@ -263,6 +384,7 @@ fn main() {
         baseline_wall_seconds: None,
         baseline_pairs_per_second: None,
         speedup: None,
+        meta_block: None,
     };
     if let Some(path) = &opts.pipeline_baseline {
         let base: PipelineReport = load(path);
@@ -281,6 +403,18 @@ fn main() {
             .map(|s| format!(", {s:.2}x vs baseline"))
             .unwrap_or_default()
     );
+    if !opts.smoke {
+        let meta = run_meta_block(weber_bench::DEFAULT_SEED, opts.reps);
+        eprintln!(
+            "pipeline meta-block: {} docs ({} pairs) in {:.3}s ({:.0} pairs/s); graph builds (µs): {:?}",
+            meta.block_docs,
+            meta.pairs_scored,
+            meta.wall_seconds,
+            meta.pairs_per_second,
+            meta.graph_build_us
+        );
+        pipeline.meta_block = Some(meta);
+    }
     write(
         &opts.pipeline_out,
         serde_json::to_string_pretty(&pipeline).unwrap(),

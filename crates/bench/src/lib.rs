@@ -136,15 +136,20 @@ pub fn manifest(binary: &str, seed: u64, config: &str) -> ManifestGuard {
 }
 
 /// Print the batch pipeline's per-stage wall times as `#`-prefixed footer
-/// lines, read from the global metrics registry ([`weber_obs`]). Stages
-/// with no observations are omitted; a binary that never ran the pipeline
-/// prints nothing.
+/// lines, read from the global metrics registry ([`weber_obs`]): the
+/// `core.stage.*` stages, then each similarity function's full-graph build
+/// (`simfun.graph_build_us.<function>`, printed as `graph_build.<function>`).
+/// Stages with no observations are omitted; a binary that never ran the
+/// pipeline prints nothing.
 pub fn print_stage_timings() {
     let snapshot = weber_obs::Registry::global().snapshot();
     let stages: Vec<_> = snapshot
         .histograms
         .iter()
-        .filter(|h| h.name.starts_with("core.stage.") && h.count > 0)
+        .filter(|h| {
+            (h.name.starts_with("core.stage.") || h.name.starts_with("simfun.graph_build_us."))
+                && h.count > 0
+        })
         .collect();
     if stages.is_empty() {
         return;
@@ -154,7 +159,8 @@ pub fn print_stage_timings() {
         let stage = h
             .name
             .trim_start_matches("core.stage.")
-            .trim_end_matches("_us");
+            .replace("simfun.graph_build_us.", "graph_build.");
+        let stage = stage.trim_end_matches("_us");
         println!(
             "#   {stage}: total={} calls={} mean={:.0} max={}",
             h.sum,

@@ -33,9 +33,11 @@ impl ClusteringMethod {
     pub fn cluster(&self, combined: &Combined) -> Partition {
         match self {
             ClusteringMethod::TransitiveClosure => connected_components(&combined.decisions),
-            ClusteringMethod::Correlation(config) => correlation_cluster(&combined.scores, *config),
+            ClusteringMethod::Correlation(config) => {
+                correlation_cluster(&combined.scores(), *config)
+            }
             ClusteringMethod::Incremental(linkage) => incremental_cluster(
-                &combined.scores,
+                &combined.scores(),
                 combined.threshold.unwrap_or(0.5),
                 *linkage,
             ),
@@ -46,6 +48,7 @@ impl ClusteringMethod {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combine::CombinedScores;
     use weber_graph::decision::DecisionGraph;
     use weber_graph::weighted::WeightedGraph;
 
@@ -57,7 +60,7 @@ mod tests {
         let scores = WeightedGraph::from_fn(n, |i, j| if d.has_edge(i, j) { 0.9 } else { 0.1 });
         Combined {
             decisions: d,
-            scores,
+            scores: CombinedScores::Graph(scores),
             selected_layer: None,
             threshold: None,
         }

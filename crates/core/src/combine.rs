@@ -14,6 +14,8 @@
 //! - **Majority vote** (classifier-fusion baseline from the related work,
 //!   used in ablations).
 
+use std::borrow::Cow;
+
 use weber_graph::decision::DecisionGraph;
 use weber_graph::multigraph::MultiGraph;
 use weber_graph::weighted::WeightedGraph;
@@ -72,12 +74,33 @@ pub enum CombinationStrategy {
 pub struct Combined {
     /// The combined decision graph `G_combined`.
     pub decisions: DecisionGraph,
-    /// Per-pair combined link scores in `[0, 1]`.
-    pub scores: WeightedGraph,
+    /// Per-pair combined link scores in `[0, 1]`; read them through
+    /// [`scores`](Self::scores).
+    pub scores: CombinedScores,
     /// Which layer was selected, for [`CombinationStrategy::BestGraph`].
     pub selected_layer: Option<usize>,
     /// The combination threshold used, when applicable.
     pub threshold: Option<f64>,
+}
+
+/// Where a [`Combined`]'s per-pair scores come from.
+#[derive(Debug, Clone)]
+pub enum CombinedScores {
+    /// Computed while combining (weighted average, majority vote).
+    Graph(WeightedGraph),
+    /// The selected layer's link probabilities, derived only when read —
+    /// transitive closure of a best graph never reads them.
+    Layer(Box<EvidenceLayer>),
+}
+
+impl Combined {
+    /// Per-pair combined link scores in `[0, 1]`.
+    pub fn scores(&self) -> Cow<'_, WeightedGraph> {
+        match &self.scores {
+            CombinedScores::Graph(g) => Cow::Borrowed(g),
+            CombinedScores::Layer(layer) => Cow::Owned(layer.link_probabilities()),
+        }
+    }
 }
 
 impl CombinationStrategy {
@@ -109,7 +132,7 @@ impl CombinationStrategy {
                 let layer = &layers[best];
                 Combined {
                     decisions: layer.decisions.clone(),
-                    scores: layer.link_probability.clone(),
+                    scores: CombinedScores::Layer(Box::new(layer.clone())),
                     selected_layer: Some(best),
                     threshold: None,
                 }
@@ -129,7 +152,7 @@ impl CombinationStrategy {
                 let decisions = DecisionGraph::from_weighted(&scores, |_, _, s| s >= fit.threshold);
                 Combined {
                     decisions,
-                    scores,
+                    scores: CombinedScores::Graph(scores),
                     selected_layer: None,
                     threshold: Some(fit.threshold),
                 }
@@ -144,7 +167,7 @@ impl CombinationStrategy {
                     WeightedGraph::from_fn(n, |i, j| votes.get(i, j) / layers.len() as f64);
                 Combined {
                     decisions,
-                    scores,
+                    scores: CombinedScores::Graph(scores),
                     selected_layer: None,
                     threshold: Some(0.5),
                 }
@@ -157,21 +180,20 @@ impl CombinationStrategy {
 mod tests {
     use super::*;
     use crate::decision::{DecisionCriterion, FittedDecision};
+    use std::sync::Arc;
     use weber_ml::threshold::ThresholdFit;
 
-    /// A hand-built layer asserting a given edge set with given accuracy.
+    /// A hand-built threshold layer asserting a given edge set with given
+    /// accuracy: asserted pairs have similarity 0.9, the rest 0.1, so the
+    /// link probability is `accuracy` on the edges and its complement
+    /// elsewhere.
     fn layer(n: usize, edges: &[(usize, usize)], accuracy: f64) -> EvidenceLayer {
         let mut decisions = DecisionGraph::new(n);
         for &(i, j) in edges {
             decisions.add_edge(i, j);
         }
-        let link_probability = WeightedGraph::from_fn(n, |i, j| {
-            if decisions.has_edge(i, j) {
-                accuracy
-            } else {
-                1.0 - accuracy
-            }
-        });
+        let similarities =
+            WeightedGraph::from_fn(n, |i, j| if decisions.has_edge(i, j) { 0.9 } else { 0.1 });
         EvidenceLayer {
             function: "F1",
             criterion: DecisionCriterion::Threshold,
@@ -181,9 +203,9 @@ mod tests {
                     training_accuracy: accuracy,
                 },
             },
-            similarities: WeightedGraph::new(n),
+            similarities: Arc::new(similarities),
+            presence: None,
             decisions,
-            link_probability,
             accuracy,
             selection_score: accuracy,
         }
@@ -200,6 +222,9 @@ mod tests {
         assert_eq!(c.selected_layer, Some(1));
         assert!(c.decisions.has_edge(1, 2));
         assert!(!c.decisions.has_edge(0, 1));
+        // The scores are the selected layer's link probabilities.
+        assert_eq!(*c.scores(), layers[1].link_probabilities());
+        assert_eq!(c.scores().get(1, 2), 0.9);
     }
 
     #[test]
@@ -212,7 +237,7 @@ mod tests {
         let c = CombinationStrategy::MajorityVote.combine(&layers, &Supervision::empty(), 3);
         assert!(c.decisions.has_edge(0, 1)); // 2 of 3 votes
         assert!(!c.decisions.has_edge(1, 2)); // 1 of 3
-        assert!((c.scores.get(0, 1) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((c.scores().get(0, 1) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -227,11 +252,8 @@ mod tests {
         // Accurate layer: confident link on (0,1), confident no-link
         // elsewhere. Weak layer: asserts (1,2) but with near-chance
         // probability estimates.
-        let mut accurate = layer(3, &[(0, 1)], 0.9);
-        accurate.link_probability =
-            WeightedGraph::from_fn(3, |i, j| if (i, j) == (0, 1) { 0.9 } else { 0.1 });
-        let mut weak = layer(3, &[(1, 2)], 0.52);
-        weak.link_probability = WeightedGraph::from_fn(3, |_, _| 0.52);
+        let accurate = layer(3, &[(0, 1)], 0.9);
+        let weak = layer(3, &[(1, 2)], 0.52);
         // Supervision that confirms (0,1) is a link and (1,2) is not.
         let sup = Supervision::new([(0, 0), (1, 0), (2, 1)].into_iter().collect());
         let c = CombinationStrategy::WeightedAverage(WeightScheme::Accuracy).combine(
@@ -239,7 +261,7 @@ mod tests {
             &sup,
             3,
         );
-        assert!(c.scores.get(0, 1) > c.scores.get(1, 2));
+        assert!(c.scores().get(0, 1) > c.scores().get(1, 2));
         assert!(c.decisions.has_edge(0, 1));
         assert!(!c.decisions.has_edge(1, 2));
         assert!(c.threshold.is_some());
@@ -253,7 +275,7 @@ mod tests {
             &Supervision::empty(),
             3,
         );
-        assert!((c.scores.get(0, 1) - 0.8).abs() < 1e-12);
+        assert!((c.scores().get(0, 1) - 0.8).abs() < 1e-12);
         // Default threshold 0.5 from the empty fit.
         assert_eq!(c.threshold, Some(0.5));
         assert!(c.decisions.has_edge(0, 1));
@@ -288,11 +310,11 @@ mod tests {
         let layers = [strong, weak];
         let acc = CombinationStrategy::WeightedAverage(WeightScheme::Accuracy)
             .combine(&layers, &Supervision::empty(), 2)
-            .scores
+            .scores()
             .get(0, 1);
         let exc = CombinationStrategy::WeightedAverage(WeightScheme::Excess)
             .combine(&layers, &Supervision::empty(), 2)
-            .scores
+            .scores()
             .get(0, 1);
         assert!(
             exc > acc,

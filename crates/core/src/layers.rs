@@ -22,7 +22,12 @@ use weber_ml::LabeledValue;
 use crate::decision::{DecisionCriterion, FittedDecision};
 use crate::supervision::Supervision;
 
-/// A fully materialised evidence layer, with provenance.
+/// An evidence layer, with provenance.
+///
+/// The similarity graph is shared with the block's cache and with the
+/// function's other layers; link probabilities are derived from it on
+/// demand ([`link_probabilities`](Self::link_probabilities)), only where a
+/// combination or clustering reads them.
 #[derive(Debug, Clone)]
 pub struct EvidenceLayer {
     /// Name of the similarity function that produced it (`"F1"`–`"F10"`
@@ -33,11 +38,12 @@ pub struct EvidenceLayer {
     /// The fitted decision.
     pub fitted: FittedDecision,
     /// The similarity (weighted) graph.
-    pub similarities: WeightedGraph,
+    pub similarities: Arc<WeightedGraph>,
+    /// Per document, whether it carries the function's feature — the input
+    /// cells of an input-partitioned layer; `None` for the others.
+    pub presence: Option<Arc<[bool]>>,
     /// The decision graph `G^i_{D_j}`.
     pub decisions: DecisionGraph,
-    /// Per-pair link-probability graph.
-    pub link_probability: WeightedGraph,
     /// Overall accuracy estimate `acc(G^i_{D_j})` (layer weight).
     pub accuracy: f64,
     /// Estimated end-to-end quality of the layer as a resolution: the
@@ -49,11 +55,24 @@ pub struct EvidenceLayer {
 }
 
 impl EvidenceLayer {
+    /// The per-pair link-probability graph, derived from the similarities.
+    pub fn link_probabilities(&self) -> WeightedGraph {
+        let values = self
+            .similarities
+            .colex_edges()
+            .map(|(i, j, w)| match &self.presence {
+                Some(p) => self.fitted.link_probability_in_cell(w, p[i] && p[j]),
+                None => self.fitted.link_probability(w),
+            })
+            .collect();
+        WeightedGraph::from_colex(self.similarities.len(), values)
+    }
+
     /// Convert into the combination-multigraph layer form.
     pub fn to_multigraph_layer(&self) -> Layer {
         Layer {
             decisions: self.decisions.clone(),
-            link_probability: self.link_probability.clone(),
+            link_probability: self.link_probabilities(),
             weight: self.accuracy,
         }
     }
@@ -94,7 +113,7 @@ pub fn training_fp(decisions: &DecisionGraph, supervision: &Supervision) -> f64 
 /// (no evidence), out-of-range values are clamped. Served from the block's
 /// similarity cache, so repeated calls (and streaming growth) don't
 /// recompute pairs.
-pub fn similarity_graph(block: &PreparedBlock, f: &dyn SimilarityFunction) -> WeightedGraph {
+pub fn similarity_graph(block: &PreparedBlock, f: &dyn SimilarityFunction) -> Arc<WeightedGraph> {
     block.similarity_graph_with(f, None)
 }
 
@@ -119,7 +138,7 @@ const PARALLEL_BLOCK_LEN: usize = 64;
 /// Build all evidence layers for the given functions and criteria.
 ///
 /// The similarity graph per function is computed once (through the block's
-/// cache) and shared across criteria.
+/// cache) and shared, not copied, across criteria.
 pub fn build_layers(
     block: &PreparedBlock,
     functions: &[Arc<dyn SimilarityFunction>],
@@ -174,14 +193,28 @@ fn function_layers(
     supervision: &Supervision,
     options: LayerOptions,
 ) -> Vec<EvidenceLayer> {
-    // Stage timings: region estimation (criterion fitting) is recorded on
-    // its own; everything else in this function — similarity graph,
-    // decision graphs, accuracy scoring — is the layer-build stage. Both
-    // go to global histograms, so the scoped-thread fan-out in
-    // `build_layers_with` just records one observation per function.
+    let sims = block.similarity_graph_with(f, options.word_vector_prefilter);
+    graph_layers(f.name(), &sims, criteria, supervision)
+}
+
+/// The layers of one function's similarity graph, one per criterion:
+/// Steps 2–4 of Algorithm 1 on a graph already in hand. Each layer shares
+/// `sims`.
+///
+/// Stage timings: region estimation (criterion fitting) is recorded on
+/// its own; the rest — decision graphs, accuracy scoring — is the
+/// layer-build stage. The similarity graph's own build time is recorded by
+/// the block, per function (`simfun.graph_build_us.<function>`). All go to
+/// global histograms, so the scoped-thread fan-out in
+/// [`build_layers_with`] just records one observation per function.
+pub fn graph_layers(
+    function: &'static str,
+    sims: &Arc<WeightedGraph>,
+    criteria: &[DecisionCriterion],
+    supervision: &Supervision,
+) -> Vec<EvidenceLayer> {
     let start = std::time::Instant::now();
     let mut fit_elapsed = std::time::Duration::ZERO;
-    let sims = block.similarity_graph_with(f, options.word_vector_prefilter);
     let samples = supervision.labeled_values(|i, j| sims.get(i, j));
     let layers: Vec<EvidenceLayer> = criteria
         .iter()
@@ -189,17 +222,16 @@ fn function_layers(
             let fit_start = std::time::Instant::now();
             let fitted = criterion.fit(&samples);
             fit_elapsed += fit_start.elapsed();
-            let decisions = DecisionGraph::from_weighted(&sims, |_, _, w| fitted.decide(w));
-            let link_probability = sims.map(|w| fitted.link_probability(w));
+            let decisions = DecisionGraph::from_weighted(sims, |_, _, w| fitted.decide(w));
             let accuracy = fitted.training_accuracy();
             let selection_score = training_fp(&decisions, supervision);
             EvidenceLayer {
-                function: f.name(),
+                function,
                 criterion,
                 fitted,
-                similarities: sims.clone(),
+                similarities: Arc::clone(sims),
+                presence: None,
                 decisions,
-                link_probability,
                 accuracy,
                 selection_score,
             }
@@ -271,7 +303,7 @@ fn input_partitioned_layer(
     options: LayerOptions,
 ) -> EvidenceLayer {
     let sims = block.similarity_graph_with(f, options.word_vector_prefilter);
-    let presence: Vec<bool> = (0..block.len())
+    let presence: Arc<[bool]> = (0..block.len())
         .map(|d| f.feature_presence(block, d) > 0.5)
         .collect();
     let both = |i: usize, j: usize| presence[i] && presence[j];
@@ -301,26 +333,16 @@ fn input_partitioned_layer(
         missing: fit_missing,
         training_accuracy,
     };
-    let decisions = {
-        let mut d = DecisionGraph::new(block.len());
-        for (i, j, w) in sims.edges() {
-            if fitted.decide_in_cell(w, both(i, j)) {
-                d.add_edge(i, j);
-            }
-        }
-        d
-    };
-    let link_probability = WeightedGraph::from_fn(block.len(), |i, j| {
-        fitted.link_probability_in_cell(sims.get(i, j), both(i, j))
-    });
+    let decisions =
+        DecisionGraph::from_weighted(&sims, |i, j, w| fitted.decide_in_cell(w, both(i, j)));
     let selection_score = training_fp(&decisions, supervision);
     EvidenceLayer {
         function: f.name(),
         criterion: DecisionCriterion::InputPartitioned,
         fitted,
         similarities: sims,
+        presence: Some(presence),
         decisions,
-        link_probability,
         accuracy: training_accuracy,
         selection_score,
     }
@@ -474,7 +496,7 @@ mod tests {
             assert_eq!(p.function, s.function);
             assert_eq!(p.criterion, s.criterion);
             assert_eq!(p.similarities, s.similarities);
-            assert_eq!(p.link_probability, s.link_probability);
+            assert_eq!(p.link_probabilities(), s.link_probabilities());
             assert_eq!(p.accuracy, s.accuracy);
             assert_eq!(p.selection_score, s.selection_score);
             assert_eq!(p.decisions.edge_count(), s.decisions.edge_count());

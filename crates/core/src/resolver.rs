@@ -10,7 +10,7 @@ use crate::clustering::ClusteringMethod;
 use crate::combine::CombinationStrategy;
 use crate::decision::DecisionCriterion;
 use crate::error::CoreError;
-use crate::layers::{build_layers_with, LayerOptions};
+use crate::layers::{build_layers_with, EvidenceLayer, LayerOptions};
 use crate::supervision::Supervision;
 
 /// Configuration of a resolution run: which functions, which decision
@@ -179,6 +179,18 @@ pub struct LayerReport {
     pub edges: usize,
 }
 
+impl From<&EvidenceLayer> for LayerReport {
+    fn from(l: &EvidenceLayer) -> Self {
+        LayerReport {
+            function: l.function,
+            criterion: l.criterion.label(),
+            accuracy: l.accuracy,
+            selection_score: l.selection_score,
+            edges: l.decisions.edge_count(),
+        }
+    }
+}
+
 /// The output of resolving one block.
 #[derive(Debug, Clone)]
 pub struct Resolution {
@@ -297,16 +309,7 @@ impl Resolver {
             let partition = self.config.clustering.cluster(&combined);
             (combined, partition)
         });
-        let reports = layers
-            .iter()
-            .map(|l| LayerReport {
-                function: l.function,
-                criterion: l.criterion.label(),
-                accuracy: l.accuracy,
-                selection_score: l.selection_score,
-                edges: l.decisions.edge_count(),
-            })
-            .collect();
+        let reports = layers.iter().map(LayerReport::from).collect();
         Ok(Resolution {
             partition,
             layers: reports,

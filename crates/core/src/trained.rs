@@ -84,7 +84,7 @@ impl TrainedModel {
 
     /// The full similarity graph of the selected function over `block`,
     /// served from (and feeding) the block's incremental similarity cache.
-    pub fn similarity_graph(&self, block: &PreparedBlock) -> WeightedGraph {
+    pub fn similarity_graph(&self, block: &PreparedBlock) -> Arc<WeightedGraph> {
         block.similarity_graph_with(self.function.as_ref(), self.prefilter)
     }
 
@@ -302,6 +302,7 @@ mod tests {
         );
         let combined = CombinationStrategy::BestGraph.combine(&layers, &sup, block.len());
         let layer = &layers[combined.selected_layer.unwrap()];
+        let link_probability = layer.link_probabilities();
         for i in 0..block.len() {
             for j in (i + 1)..block.len() {
                 assert_eq!(
@@ -310,7 +311,7 @@ mod tests {
                     "pair ({i}, {j})"
                 );
                 assert!(
-                    (model.link_probability(&block, i, j) - layer.link_probability.get(i, j)).abs()
+                    (model.link_probability(&block, i, j) - link_probability.get(i, j)).abs()
                         < 1e-12
                 );
             }

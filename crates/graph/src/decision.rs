@@ -25,13 +25,14 @@ impl DecisionGraph {
     }
 
     /// Derive a decision graph from a weighted graph by a predicate on
-    /// `(i, j, weight)`.
+    /// `(i, j, weight)`, called once per pair in the weighted graph's
+    /// storage order ([`WeightedGraph::colex_edges`]).
     pub fn from_weighted(
         g: &WeightedGraph,
         mut keep: impl FnMut(usize, usize, f64) -> bool,
     ) -> Self {
         let mut d = Self::new(g.len());
-        for (i, j, w) in g.edges() {
+        for (i, j, w) in g.colex_edges() {
             if keep(i, j, w) {
                 d.add_edge(i, j);
             }

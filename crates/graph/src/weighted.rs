@@ -2,17 +2,22 @@
 //!
 //! `G_w^{f_i}` in the paper: nodes are the documents of one block (same
 //! ambiguous name), the weight on edge `{i, j}` is the similarity value
-//! `f_i(d_i, d_j) ∈ [0, 1]`. Stored as a flat upper-triangular matrix —
-//! blocks are small (≈100–150 documents), so the dense representation is
-//! both the fastest and the simplest.
+//! `f_i(d_i, d_j) ∈ [0, 1]`. Stored as a flat upper-triangular matrix of
+//! `n·(n−1)/2` weights. Name blocks hold ≈100–150 documents, but a
+//! meta-block of a dirty pile reaches 1,200 (≈720k pairs, 5.75 MB per
+//! graph), so callers share a graph behind an `Arc` rather than copy it,
+//! and walk it in storage order ([`colex_edges`](WeightedGraph::colex_edges)).
 //!
 //! The triangle is laid out in *colexicographic* (column-major) order:
 //! entry `{i, j}` with `i < j` lives at `j·(j−1)/2 + i`, so all edges of
-//! the highest-numbered node form the tail of the buffer. That makes
-//! [`push_node`](WeightedGraph::push_node) — appending one node with its
-//! row of weights against every existing node — a pure `extend`, which is
-//! what lets streaming blocks grow a cached similarity graph by one row
-//! per ingested document instead of rebuilding the whole matrix.
+//! the highest-numbered node form the tail of the buffer. Appending nodes
+//! is therefore a pure `extend` of the buffer ([`weight_values`] followed
+//! by the new nodes' rows, through [`from_colex`]), which is what lets
+//! streaming blocks grow a cached similarity graph by one row per ingested
+//! document instead of rebuilding the whole matrix.
+//!
+//! [`weight_values`]: WeightedGraph::weight_values
+//! [`from_colex`]: WeightedGraph::from_colex
 
 /// A complete undirected weighted graph over `n` nodes.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,6 +45,18 @@ impl WeightedGraph {
                 weights.push(f(i, j));
             }
         }
+        Self { n, weights }
+    }
+
+    /// A graph over `n` nodes from its weights in storage (colex) order,
+    /// as [`weight_values`](Self::weight_values) returns them. Panics unless
+    /// there are exactly `n·(n−1)/2` weights.
+    pub fn from_colex(n: usize, weights: Vec<f64>) -> Self {
+        assert_eq!(
+            weights.len(),
+            n * n.saturating_sub(1) / 2,
+            "from_colex needs one weight per pair"
+        );
         Self { n, weights }
     }
 
@@ -89,27 +106,6 @@ impl WeightedGraph {
         Self { n, weights }
     }
 
-    /// Append one node, with `row[i]` the weight of its edge to existing
-    /// node `i`. O(n): the new node's edges are the tail of the colex
-    /// buffer, so no existing entry moves.
-    pub fn push_node(&mut self, row: &[f64]) {
-        assert_eq!(
-            row.len(),
-            self.n,
-            "push_node needs one weight per existing node"
-        );
-        self.weights.extend_from_slice(row);
-        self.n += 1;
-    }
-
-    /// A graph with the same nodes and `f` applied to every edge weight.
-    pub fn map(&self, mut f: impl FnMut(f64) -> f64) -> Self {
-        Self {
-            n: self.n,
-            weights: self.weights.iter().map(|&w| f(w)).collect(),
-        }
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.n
@@ -152,6 +148,16 @@ impl WeightedGraph {
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.n)
             .flat_map(move |i| (i + 1..self.n).map(move |j| (i, j, self.weights[self.index(i, j)])))
+    }
+
+    /// Iterate `(i, j, weight)` over all pairs `i < j` in storage (colex)
+    /// order: sorted by `j`, then `i`. The same edges as
+    /// [`edges`](Self::edges), read front to back through the buffer.
+    pub fn colex_edges(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        (1..self.n)
+            .flat_map(|j| (0..j).map(move |i| (i, j)))
+            .zip(&self.weights)
+            .map(|((i, j), &w)| (i, j, w))
     }
 
     /// All edge weights in colex order: pair `(i, j)` with `i < j`, sorted
@@ -219,22 +225,18 @@ mod tests {
     }
 
     #[test]
-    fn push_node_matches_batch_build() {
-        let weight = |i: usize, j: usize| (100 * i + j) as f64;
-        let n = 9;
-        let batch = WeightedGraph::from_fn(n, weight);
-        let mut grown = WeightedGraph::new(0);
-        for j in 0..n {
-            let row: Vec<f64> = (0..j).map(|i| weight(i, j)).collect();
-            grown.push_node(&row);
-        }
-        assert_eq!(grown, batch);
-    }
-
-    #[test]
-    #[should_panic(expected = "one weight per existing node")]
-    fn push_node_rejects_wrong_row_length() {
-        WeightedGraph::new(3).push_node(&[0.5]);
+    fn colex_edges_walk_storage_order_over_the_same_edges() {
+        let g = WeightedGraph::from_fn(4, |i, j| (10 * i + j) as f64);
+        let colex: Vec<_> = g.colex_edges().collect();
+        assert_eq!(colex[..3], [(0, 1, 1.0), (0, 2, 2.0), (1, 2, 12.0)]);
+        let weights: Vec<f64> = colex.iter().map(|&(_, _, w)| w).collect();
+        assert_eq!(weights, g.weight_values());
+        let mut lex: Vec<_> = g.edges().collect();
+        let mut sorted = colex.clone();
+        lex.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert_eq!(lex, sorted);
+        assert_eq!(WeightedGraph::from_colex(4, weights), g);
     }
 
     #[test]
@@ -246,16 +248,6 @@ mod tests {
                 let parallel = WeightedGraph::from_fn_par(n, threads, weight);
                 assert_eq!(parallel, sequential, "n={n}, threads={threads}");
             }
-        }
-    }
-
-    #[test]
-    fn map_transforms_every_weight_in_place_order() {
-        let g = WeightedGraph::from_fn(4, |i, j| (i + j) as f64);
-        let doubled = g.map(|w| 2.0 * w);
-        assert_eq!(doubled.len(), g.len());
-        for (i, j, w) in g.edges() {
-            assert_eq!(doubled.get(i, j), 2.0 * w);
         }
     }
 

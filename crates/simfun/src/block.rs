@@ -14,20 +14,29 @@
 //! vector [generation](PreparedBlock::vector_generation) — so the cache
 //! needs no explicit invalidation calls and stays bit-identical to a
 //! from-scratch computation.
+//!
+//! A full graph build does each feature's shared work once per block, not
+//! once per pair ([`GraphKernel`]): the word-vector functions (F8–F10) read
+//! one dot-product graph per vector generation, computed in a single pass
+//! over term postings, plus per-document vector statistics; the name
+//! functions (F3, F7) run Jaro–Winkler once per pair of distinct names.
+//! Both produce exactly the values of the per-pair
+//! [`pair_similarity`](PreparedBlock::pair_similarity).
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
+use std::time::Instant;
 
 use weber_extract::features::PageFeatures;
 use weber_graph::weighted::WeightedGraph;
 use weber_textindex::incremental::VectorStore;
 use weber_textindex::index::CorpusIndex;
 use weber_textindex::minhash::MinHasher;
-use weber_textindex::sparse::SparseVector;
+use weber_textindex::sparse::{pairwise_dots, SparseVector, VectorMeasure};
 use weber_textindex::tfidf::TfIdf;
 
-use crate::functions::SimilarityFunction;
+use crate::functions::{GraphKernel, SimilarityFunction};
 use crate::string_sim::{char_bigrams_sorted, jaro_winkler};
 
 pub use weber_textindex::incremental::WordVectorScheme;
@@ -56,6 +65,25 @@ pub struct DerivedFeatures {
     /// URL or the normalised URL is shorter than two characters (F2 then
     /// falls back to exact equality, matching `ngram_dice`).
     pub url_bigrams: Vec<u64>,
+}
+
+/// Which per-document name a name-based function compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum NameFeature {
+    /// [`DerivedFeatures::most_frequent_person_lower`] (F3).
+    MostFrequent,
+    /// [`DerivedFeatures::closest_person_lower`] (F7).
+    Closest,
+}
+
+impl NameFeature {
+    /// The document's name under this feature, if it has one.
+    pub fn of(self, derived: &DerivedFeatures) -> Option<&str> {
+        match self {
+            NameFeature::MostFrequent => derived.most_frequent_person_lower.as_deref(),
+            NameFeature::Closest => derived.closest_person_lower.as_deref(),
+        }
+    }
 }
 
 fn derive_features(query_name: &str, features: &PageFeatures) -> DerivedFeatures {
@@ -134,11 +162,15 @@ impl CacheStats {
 
 #[derive(Debug, Clone)]
 struct CachedGraph {
-    graph: WeightedGraph,
+    graph: Arc<WeightedGraph>,
     /// The vector generation the graph was computed at; only meaningful for
     /// word-vector functions (feature-function values never go stale).
     generation: u64,
 }
+
+/// A cache lock is poisoned only by a panic while it was held — for the dot
+/// graph's lock, a panicking build — which is a bug, not a state to serve.
+const CACHE_POISONED: &str = "similarity cache lock poisoned by a panic while held";
 
 /// Blocks at or above this size use every available core to fill a
 /// similarity graph that cannot be grown row-by-row from the cache.
@@ -179,8 +211,16 @@ pub struct PreparedBlock {
     vectors_stale: bool,
     /// Per-(function, prefilter) similarity graphs. Interior-mutable so
     /// read paths (`&self`) can populate it; computation happens outside
-    /// the lock, which is only held to clone a graph in or out.
+    /// the lock, which is only held to move an `Arc` in or out.
     sim_cache: Mutex<HashMap<CacheKey, CachedGraph>>,
+    /// The word vectors' pairwise dot products, shared by the
+    /// [`GraphKernel::WordVectors`] builds in flight at one vector
+    /// generation, with that generation. Held weakly: layer building runs
+    /// F8–F10 concurrently, which is when sharing pays, and afterwards
+    /// their graphs are cached, so the block keeps no dot graph alive. The
+    /// lock is held while the graph is computed, so concurrent builds wait
+    /// for one computation instead of each running their own.
+    dots: Mutex<(u64, Weak<WeightedGraph>)>,
     /// Hit/grow/rebuild counters over `sim_cache`. Block-private by
     /// default; [`set_cache_stats`](Self::set_cache_stats) swaps in a
     /// shared instance.
@@ -228,6 +268,7 @@ impl PreparedBlock {
             vocab_dim,
             vectors_stale: false,
             sim_cache: Mutex::new(HashMap::new()),
+            dots: Mutex::new((0, Weak::new())),
             cache_stats: Arc::new(CacheStats::new()),
         }
     }
@@ -343,6 +384,27 @@ impl PreparedBlock {
         self.vocab_dim
     }
 
+    /// `m` over the word vectors of documents `i` and `j` — the per-pair
+    /// definition of [`GraphKernel::WordVectors`]. Each vector's statistics
+    /// are kept next to it and refreshed with it.
+    pub fn vector_similarity(&self, m: VectorMeasure, i: usize, j: usize) -> f64 {
+        m.score(
+            self.tfidf(i).dot(self.tfidf(j)),
+            self.store.stats(i),
+            self.store.stats(j),
+            self.vocab_dim,
+        )
+    }
+
+    /// Jaro–Winkler of documents `i` and `j`'s `name`, 0 when either lacks
+    /// it — the per-pair definition of [`GraphKernel::Names`].
+    pub fn name_similarity(&self, name: NameFeature, i: usize, j: usize) -> f64 {
+        match (name.of(&self.derived[i]), name.of(&self.derived[j])) {
+            (Some(a), Some(b)) => jaro_winkler(a, b),
+            _ => 0.0,
+        }
+    }
+
     /// A counter that advances exactly when an already-materialised word
     /// vector changed value during a refresh. Cached similarity graphs for
     /// word-vector functions are valid only at the generation they were
@@ -369,6 +431,19 @@ impl PreparedBlock {
         i: usize,
         j: usize,
     ) -> f64 {
+        self.filtered(f, prefilter, i, j, || f.compare(self, i, j))
+    }
+
+    /// [`pair_similarity`](Self::pair_similarity) with the raw value
+    /// supplied by `value` (`compare`, or a kernel's equal computation).
+    fn filtered(
+        &self,
+        f: &dyn SimilarityFunction,
+        prefilter: Option<f64>,
+        i: usize,
+        j: usize,
+        value: impl FnOnce() -> f64,
+    ) -> f64 {
         if let Some(threshold) = prefilter {
             if f.uses_word_vectors()
                 && MinHasher::estimated_jaccard(&self.minhash[i], &self.minhash[j]) < threshold
@@ -376,7 +451,7 @@ impl PreparedBlock {
                 return 0.0;
             }
         }
-        let v = f.compare(self, i, j);
+        let v = value();
         if v.is_nan() {
             0.0
         } else {
@@ -394,16 +469,18 @@ impl PreparedBlock {
     ///   functions always, and for word-vector functions when the vector
     ///   generation is unchanged — earlier pairs' values are immutable in
     ///   both cases);
-    /// - otherwise the graph is rebuilt from scratch, fanning row chunks
-    ///   across all cores for blocks of ≥ 256 documents.
+    /// - otherwise the graph is rebuilt from scratch through the function's
+    ///   [`GraphKernel`], if it has one, else pair by pair, fanning column
+    ///   chunks across all cores for blocks of ≥ 256 documents.
     ///
-    /// The refreshed entry is stored back, so repeated calls (layer builds,
-    /// checkpoint retraining, transitive-closure rebuilds) cost one memcpy.
+    /// The refreshed entry is stored back and shared: repeated calls (layer
+    /// builds, checkpoint retraining, transitive-closure rebuilds) clone an
+    /// `Arc`, not the graph.
     pub fn similarity_graph_with(
         &self,
         f: &dyn SimilarityFunction,
         prefilter: Option<f64>,
-    ) -> WeightedGraph {
+    ) -> Arc<WeightedGraph> {
         let n = self.len();
         let word = f.uses_word_vectors();
         debug_assert!(
@@ -412,27 +489,32 @@ impl PreparedBlock {
         );
         let generation = self.store.generation();
         let key: CacheKey = (f.name(), prefilter.map(f64::to_bits));
-        let cached = self.sim_cache.lock().unwrap().get(&key).cloned();
-        let had_entry = cached.is_some();
+        let current = |c: &CachedGraph| !word || c.generation == generation;
+        let cached = self
+            .sim_cache
+            .lock()
+            .expect(CACHE_POISONED)
+            .get(&key)
+            .cloned();
         let graph = match cached {
-            Some(c) if (!word || c.generation == generation) && c.graph.len() == n => {
+            Some(c) if current(&c) && c.graph.len() == n => {
                 self.cache_stats.hits.fetch_add(1, Ordering::Relaxed);
                 return c.graph;
             }
-            Some(c) if (!word || c.generation == generation) && c.graph.len() < n => {
+            Some(c) if current(&c) && c.graph.len() < n => {
                 self.cache_stats.grows.fetch_add(1, Ordering::Relaxed);
-                let mut g = c.graph;
-                let mut row = Vec::with_capacity(n - 1);
-                for j in g.len()..n {
-                    row.clear();
-                    row.extend((0..j).map(|i| self.pair_similarity(f, prefilter, i, j)));
-                    g.push_node(&row);
+                // The new documents' edges are the tail of the colex buffer.
+                // Sized exactly: a cached graph carries no growth slack.
+                let mut weights = Vec::with_capacity(n * (n - 1) / 2);
+                weights.extend_from_slice(c.graph.weight_values());
+                for j in c.graph.len()..n {
+                    weights.extend((0..j).map(|i| self.pair_similarity(f, prefilter, i, j)));
                 }
-                g
+                WeightedGraph::from_colex(n, weights)
             }
-            _ => {
+            stale => {
                 self.cache_stats.rebuilds.fetch_add(1, Ordering::Relaxed);
-                if had_entry {
+                if stale.is_some() {
                     // An entry existed but could not be used: its word
                     // vectors were re-weighted since it was computed.
                     self.cache_stats
@@ -444,18 +526,79 @@ impl PreparedBlock {
                 } else {
                     1
                 };
-                WeightedGraph::from_fn_par(n, threads, |i, j| {
-                    self.pair_similarity(f, prefilter, i, j)
-                })
+                let start = Instant::now();
+                let g = self.build_graph(f, prefilter, threads);
+                weber_obs::Registry::global()
+                    .histogram(&format!("simfun.graph_build_us.{}", f.name()))
+                    .record_since(start);
+                g
             }
         };
-        self.sim_cache.lock().unwrap().insert(
+        let graph = Arc::new(graph);
+        self.sim_cache.lock().expect(CACHE_POISONED).insert(
             key,
             CachedGraph {
-                graph: graph.clone(),
+                graph: Arc::clone(&graph),
                 generation,
             },
         );
+        graph
+    }
+
+    /// Fill `f`'s graph from scratch, through its kernel when it has one.
+    /// `threads` fans out the per-pair passes.
+    fn build_graph(
+        &self,
+        f: &dyn SimilarityFunction,
+        prefilter: Option<f64>,
+        threads: usize,
+    ) -> WeightedGraph {
+        let n = self.len();
+        match f.kernel() {
+            Some(GraphKernel::WordVectors(m)) => {
+                let dots = self.dot_graph();
+                WeightedGraph::from_fn_par(n, threads, |i, j| {
+                    self.filtered(f, prefilter, i, j, || {
+                        m.score(
+                            dots.get(i, j),
+                            self.store.stats(i),
+                            self.store.stats(j),
+                            self.vocab_dim,
+                        )
+                    })
+                })
+            }
+            Some(GraphKernel::Names(name)) => {
+                let mut table = NameTable::new(&self.derived, name);
+                WeightedGraph::from_fn(n, |i, j| {
+                    self.filtered(f, prefilter, i, j, || table.similarity(i, j))
+                })
+            }
+            None => WeightedGraph::from_fn_par(n, threads, |i, j| {
+                self.pair_similarity(f, prefilter, i, j)
+            }),
+        }
+    }
+
+    /// The word vectors' pairwise dot products at the current generation
+    /// ([`pairwise_dots`]), shared by the F8–F10 builds in flight.
+    fn dot_graph(&self) -> Arc<WeightedGraph> {
+        let generation = self.store.generation();
+        let mut slot = self.dots.lock().expect(CACHE_POISONED);
+        if slot.0 == generation {
+            if let Some(graph) = slot.1.upgrade().filter(|g| g.len() == self.len()) {
+                return graph;
+            }
+        }
+        let start = Instant::now();
+        let graph = Arc::new(WeightedGraph::from_colex(
+            self.len(),
+            pairwise_dots(self.store.vectors()),
+        ));
+        weber_obs::Registry::global()
+            .histogram("simfun.graph_build_us.word_dots")
+            .record_since(start);
+        *slot = (generation, Arc::downgrade(&graph));
         graph
     }
 
@@ -483,6 +626,56 @@ impl PreparedBlock {
             let g = self.similarity_graph_with(f, prefilter);
             (0..doc).map(|i| g.get(i, doc)).collect()
         }
+    }
+}
+
+/// Jaro–Winkler between the block's distinct names under one
+/// [`NameFeature`], filled on first use of each ordered `(a, b)` entry.
+/// Entries are kept per order, so the table does not rely on
+/// `jaro_winkler` being bit-symmetric.
+struct NameTable<'a> {
+    /// The distinct names, in order of first appearance.
+    names: Vec<&'a str>,
+    /// Per document, its name's index in `names`.
+    ids: Vec<Option<usize>>,
+    /// `names.len()²` entries, row-major; NaN until computed.
+    cells: Vec<f64>,
+}
+
+impl<'a> NameTable<'a> {
+    fn new(derived: &'a [DerivedFeatures], name: NameFeature) -> Self {
+        let mut index: HashMap<&str, usize> = HashMap::new();
+        let mut names = Vec::new();
+        let ids = derived
+            .iter()
+            .map(|d| {
+                name.of(d).map(|s| {
+                    *index.entry(s).or_insert_with(|| {
+                        names.push(s);
+                        names.len() - 1
+                    })
+                })
+            })
+            .collect();
+        let d = names.len();
+        Self {
+            names,
+            ids,
+            cells: vec![f64::NAN; d * d],
+        }
+    }
+
+    /// [`PreparedBlock::name_similarity`] of documents `i` and `j`.
+    fn similarity(&mut self, i: usize, j: usize) -> f64 {
+        let (Some(a), Some(b)) = (self.ids[i], self.ids[j]) else {
+            return 0.0;
+        };
+        let cell = &mut self.cells[a * self.names.len() + b];
+        // A NaN result would just be recomputed, to the same NaN.
+        if cell.is_nan() {
+            *cell = jaro_winkler(self.names[a], self.names[b]);
+        }
+        *cell
     }
 }
 
@@ -717,6 +910,68 @@ mod tests {
         b.similarity_graph_with(&wv, None);
         assert_eq!(stats.invalidations(), 1);
         assert_eq!(stats.misses(), stats.grows() + stats.rebuilds());
+    }
+
+    #[test]
+    fn kernel_builds_match_pairs_on_any_thread_count() {
+        let b = block(TEXTS);
+        for f in standard_suite() {
+            for threads in [1, 2, 4] {
+                let g = b.build_graph(f.as_ref(), None, threads);
+                for (i, j, w) in g.edges() {
+                    assert_eq!(
+                        w.to_bits(),
+                        b.pair_similarity(f.as_ref(), None, i, j).to_bits(),
+                        "{} ({i},{j}) on {threads} threads",
+                        f.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_dot_graph_per_vector_generation() {
+        let e = extractor();
+        let mut b = PreparedBlock::empty("cohen", WordVectorScheme::default());
+        for t in &TEXTS[..3] {
+            b.push(e.extract(t, None));
+        }
+        let first = b.dot_graph();
+        assert!(Arc::ptr_eq(&first, &b.dot_graph()), "recomputed");
+        let generation = b.vector_generation();
+        b.push(e.extract(TEXTS[3], None));
+        assert_ne!(b.vector_generation(), generation);
+        let second = b.dot_graph();
+        assert!(!Arc::ptr_eq(&first, &second), "stale dot graph served");
+        assert_eq!(second.len(), 4);
+        assert_eq!(second.get(0, 1), b.tfidf(0).dot(b.tfidf(1)));
+        // Once no build holds it, the block does not keep it alive.
+        drop((first, second));
+        assert!(b.dots.lock().unwrap().1.upgrade().is_none());
+    }
+
+    #[test]
+    fn name_kernel_treats_missing_names_as_zero() {
+        let mut g = Gazetteer::new();
+        g.add_phrases(EntityKind::Person, ["Ann Cohen", "Bob Cohen"]);
+        let e = Extractor::new(&g);
+        let features = [
+            "Ann Cohen here",
+            "no names",
+            "Bob Cohen and Ann Cohen, Bob Cohen",
+        ]
+        .iter()
+        .map(|t| e.extract(t, None))
+        .collect();
+        let b = PreparedBlock::new("cohen", features, TfIdf::default());
+        let mut table = NameTable::new(&b.derived, NameFeature::MostFrequent);
+        assert_eq!(table.names, ["ann cohen", "bob cohen"]);
+        assert_eq!(table.similarity(0, 1), 0.0);
+        assert_eq!(
+            table.similarity(0, 2),
+            b.name_similarity(NameFeature::MostFrequent, 0, 2)
+        );
     }
 
     #[test]

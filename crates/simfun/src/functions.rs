@@ -19,10 +19,12 @@
 
 use std::sync::Arc;
 
-use crate::block::PreparedBlock;
+use weber_textindex::sparse::VectorMeasure;
+
+use crate::block::{NameFeature, PreparedBlock};
 use crate::name_sim::name_similarity;
 use crate::set_sim::overlap_coefficient;
-use crate::string_sim::{dice_sorted_bigrams, jaro_winkler};
+use crate::string_sim::dice_sorted_bigrams;
 
 /// Identifier of a similarity function in the paper's numbering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -87,6 +89,22 @@ impl std::fmt::Display for FunctionId {
     }
 }
 
+/// A per-block way to fill a function's whole similarity graph faster than
+/// one [`compare`](SimilarityFunction::compare) per pair. Each variant names
+/// the per-pair formula `compare` evaluates, so the block can do the shared
+/// part of the work once and still produce the same values, bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GraphKernel {
+    /// `compare` is [`PreparedBlock::vector_similarity`] under this
+    /// measure. The block computes every pair's dot product in one pass
+    /// over term postings, shared by all measures at one vector generation.
+    WordVectors(VectorMeasure),
+    /// `compare` is [`PreparedBlock::name_similarity`] over this name.
+    /// Jaro–Winkler then runs once per pair of distinct names, not once per
+    /// pair of documents.
+    Names(NameFeature),
+}
+
 /// A pairwise similarity function over documents of a prepared block.
 ///
 /// The ten functions of Table I implement this, and so can any downstream
@@ -122,8 +140,17 @@ pub trait SimilarityFunction: Send + Sync {
     /// both documents exist, which lets cached similarity rows be reused
     /// verbatim as a streaming block grows. Only return `false` if every
     /// input of `compare` is immutable after the documents are pushed.
+    /// Defaults to whether [`kernel`](Self::kernel) is a word-vector one.
     fn uses_word_vectors(&self) -> bool {
-        false
+        matches!(self.kernel(), Some(GraphKernel::WordVectors(_)))
+    }
+
+    /// The kernel [`PreparedBlock::similarity_graph_with`] may fill this
+    /// function's graph with. A function returning `Some(k)` must compute
+    /// exactly `k`'s per-pair formula in `compare`; `compare` stays the
+    /// definition. Defaults to `None`: the graph is filled pair by pair.
+    fn kernel(&self) -> Option<GraphKernel> {
+        None
     }
 }
 
@@ -202,18 +229,15 @@ impl SimilarityFunction for MostFrequentNameSimilarity {
         "Most frequent name on the page / string similarity"
     }
     fn compare(&self, block: &PreparedBlock, i: usize, j: usize) -> f64 {
-        match (
-            &block.derived(i).most_frequent_person_lower,
-            &block.derived(j).most_frequent_person_lower,
-        ) {
-            (Some(a), Some(b)) => jaro_winkler(a, b),
-            _ => 0.0,
-        }
+        block.name_similarity(NameFeature::MostFrequent, i, j)
     }
     fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
         f64::from(u8::from(
             block.derived(doc).most_frequent_person_lower.is_some(),
         ))
+    }
+    fn kernel(&self) -> Option<GraphKernel> {
+        Some(GraphKernel::Names(NameFeature::MostFrequent))
     }
 }
 
@@ -294,17 +318,15 @@ impl SimilarityFunction for ClosestNameSimilarity {
         "The name closest to the search keyword / string similarity"
     }
     fn compare(&self, block: &PreparedBlock, i: usize, j: usize) -> f64 {
-        match (
-            &block.derived(i).closest_person_lower,
-            &block.derived(j).closest_person_lower,
-        ) {
-            (Some(a), Some(b)) => jaro_winkler(a, b),
-            _ => 0.0,
-        }
+        block.name_similarity(NameFeature::Closest, i, j)
     }
 
     fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
         f64::from(u8::from(block.derived(doc).closest_person_lower.is_some()))
+    }
+
+    fn kernel(&self) -> Option<GraphKernel> {
+        Some(GraphKernel::Names(NameFeature::Closest))
     }
 }
 
@@ -320,15 +342,15 @@ impl SimilarityFunction for TfIdfCosine {
         "TF-IDF words vector / cosine similarity"
     }
     fn compare(&self, block: &PreparedBlock, i: usize, j: usize) -> f64 {
-        block.tfidf(i).cosine(block.tfidf(j))
+        block.vector_similarity(VectorMeasure::Cosine, i, j)
     }
 
     fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
         f64::from(u8::from(!block.tfidf(doc).is_empty()))
     }
 
-    fn uses_word_vectors(&self) -> bool {
-        true
+    fn kernel(&self) -> Option<GraphKernel> {
+        Some(GraphKernel::WordVectors(VectorMeasure::Cosine))
     }
 }
 
@@ -344,19 +366,16 @@ impl SimilarityFunction for TfIdfPearson {
         "TF-IDF words vector / Pearson correlation similarity"
     }
     fn compare(&self, block: &PreparedBlock, i: usize, j: usize) -> f64 {
-        let (a, b) = (block.tfidf(i), block.tfidf(j));
-        if a.is_empty() || b.is_empty() {
-            return 0.0;
-        }
-        a.pearson(b, block.vocab_dim())
+        // An empty vector has zero variance, so it scores 0.
+        block.vector_similarity(VectorMeasure::Pearson, i, j)
     }
 
     fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
         f64::from(u8::from(!block.tfidf(doc).is_empty()))
     }
 
-    fn uses_word_vectors(&self) -> bool {
-        true
+    fn kernel(&self) -> Option<GraphKernel> {
+        Some(GraphKernel::WordVectors(VectorMeasure::Pearson))
     }
 }
 
@@ -372,15 +391,15 @@ impl SimilarityFunction for TfIdfExtendedJaccard {
         "TF-IDF words vector / extended Jaccard similarity"
     }
     fn compare(&self, block: &PreparedBlock, i: usize, j: usize) -> f64 {
-        block.tfidf(i).extended_jaccard(block.tfidf(j))
+        block.vector_similarity(VectorMeasure::ExtendedJaccard, i, j)
     }
 
     fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
         f64::from(u8::from(!block.tfidf(doc).is_empty()))
     }
 
-    fn uses_word_vectors(&self) -> bool {
-        true
+    fn kernel(&self) -> Option<GraphKernel> {
+        Some(GraphKernel::WordVectors(VectorMeasure::ExtendedJaccard))
     }
 }
 

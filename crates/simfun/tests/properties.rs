@@ -1,9 +1,14 @@
-//! Property-based tests for string and set similarity measures.
+//! Property-based tests for string and set similarity measures, and for
+//! the block's whole-graph kernels against the per-pair definition.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
+use weber_extract::gazetteer::{EntityKind, Gazetteer};
+use weber_extract::pipeline::Extractor;
+use weber_simfun::block::{PreparedBlock, WordVectorScheme};
+use weber_simfun::functions::standard_suite;
 use weber_simfun::set_sim::{dice, jaccard, overlap_coefficient};
 use weber_simfun::string_sim::{
     jaro, jaro_winkler, levenshtein, ngram_dice, normalized_levenshtein,
@@ -97,5 +102,135 @@ proptest! {
         let b: BTreeSet<String> = a.iter().map(|s| format!("zz{s}")).collect();
         prop_assert_eq!(overlap_coefficient(&a, &b), 0.0);
         prop_assert_eq!(jaccard(&a, &b), 0.0);
+    }
+}
+
+/// Person names of the random blocks: several share a surname with the
+/// query name "cohen", two are near-misses of each other.
+const PERSONS: &[&str] = &[
+    "Ann Cohen",
+    "Bob Cohen",
+    "Ann Cohn",
+    "Carl Smith",
+    "Dana Smyth",
+];
+
+/// Words of the random blocks. The last four are stopwords: a page made of
+/// only those has an empty word vector.
+const WORDS: &[&str] = &[
+    "databases",
+    "gardening",
+    "roses",
+    "query",
+    "systems",
+    "music",
+    "piano",
+    "the",
+    "and",
+    "of",
+    "with",
+];
+
+/// One random page: word indices and person-name indices (a name may
+/// repeat, so the most frequent one is well defined, or be absent).
+type Page = (Vec<usize>, Vec<usize>);
+
+fn page() -> impl Strategy<Value = Page> {
+    (
+        collection::vec(0..WORDS.len(), 0..12),
+        collection::vec(0..PERSONS.len(), 0..4),
+    )
+}
+
+/// A prefilter threshold: `None` half of the time.
+fn prefilter() -> impl Strategy<Value = Option<f64>> {
+    (proptest::bool::ANY, 0.0f64..0.6).prop_map(|(on, t)| on.then_some(t))
+}
+
+fn extractor() -> Extractor {
+    let mut g = Gazetteer::new();
+    g.add_phrases(EntityKind::Person, PERSONS.iter().copied());
+    g.add_phrases(EntityKind::Concept, ["databases", "gardening"]);
+    Extractor::new(&g)
+}
+
+fn text(page: &Page) -> String {
+    let mut parts: Vec<&str> = page.0.iter().map(|&w| WORDS[w]).collect();
+    for (k, &p) in page.1.iter().enumerate() {
+        parts.insert((3 * k).min(parts.len()), PERSONS[p]);
+    }
+    parts.join(" ")
+}
+
+/// Every F1–F10 graph equals `pair_similarity` on every pair, by bits.
+fn graphs_match_pairs(block: &PreparedBlock, prefilter: Option<f64>) -> Result<(), TestCaseError> {
+    for f in standard_suite() {
+        let g = block.similarity_graph_with(f.as_ref(), prefilter);
+        prop_assert_eq!(g.len(), block.len());
+        for (i, j, w) in g.edges() {
+            let want = block.pair_similarity(f.as_ref(), prefilter, i, j);
+            prop_assert!(
+                w.to_bits() == want.to_bits(),
+                "{} ({i},{j}) with prefilter {prefilter:?}: graph {w} vs pair {want}",
+                f.name()
+            );
+        }
+    }
+    Ok(())
+}
+
+fn batch_block(pages: &[Page]) -> PreparedBlock {
+    let e = extractor();
+    let features = pages.iter().map(|p| e.extract(&text(p), None)).collect();
+    PreparedBlock::with_scheme("cohen", features, WordVectorScheme::default())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn kernel_graphs_are_bit_identical_to_pairs(
+        pages in collection::vec(page(), 0..40),
+        prefilter in prefilter(),
+    ) {
+        graphs_match_pairs(&batch_block(&pages), prefilter)?;
+    }
+
+    /// Pushed one by one, with graphs requested between pushes: cached
+    /// graphs grow, and word-vector ones are rebuilt as each push advances
+    /// the vector generation.
+    #[test]
+    fn kernel_graphs_stay_bit_identical_as_a_block_grows(
+        pages in collection::vec(page(), 2..30),
+        prefilter in prefilter(),
+        every in 1usize..6,
+    ) {
+        let e = extractor();
+        let mut block = PreparedBlock::empty("cohen", WordVectorScheme::default());
+        let mut generations = BTreeSet::new();
+        for (k, p) in pages.iter().enumerate() {
+            block.push(e.extract(&text(p), None));
+            generations.insert(block.vector_generation());
+            if k % every == 0 {
+                graphs_match_pairs(&block, prefilter)?;
+            }
+        }
+        graphs_match_pairs(&block, prefilter)?;
+        prop_assert!(generations.len() > 1, "pushes never advanced the vector generation");
+    }
+}
+
+proptest! {
+    // Blocks of ~256 documents: slow in debug builds, so few cases.
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// Blocks on both sides of the size at which a rebuild fans out across
+    /// threads (256 documents).
+    #[test]
+    fn kernel_graphs_are_bit_identical_across_the_parallel_build_gate(
+        pages in collection::vec(page(), 250..262),
+        prefilter in prefilter(),
+    ) {
+        graphs_match_pairs(&batch_block(&pages), prefilter)?;
     }
 }

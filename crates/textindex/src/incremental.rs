@@ -13,6 +13,10 @@
 //! so incremental and batch materialisation are bit-identical, not merely
 //! close.
 //!
+//! Next to each vector the store keeps its [`VectorStats`] (sum, sum of
+//! squares, norm), refreshed whenever the vector is, so pairwise measures
+//! read them instead of re-walking both vectors on every pair.
+//!
 //! The store also exposes a monotone [`generation`](VectorStore::generation)
 //! counter that advances exactly when some *existing* vector changed value.
 //! Downstream caches (per-function similarity graphs) key on it to decide
@@ -22,7 +26,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 use crate::index::CorpusIndex;
-use crate::sparse::SparseVector;
+use crate::sparse::{SparseVector, VectorStats};
 use crate::tfidf::TfIdf;
 use crate::vocab::TermId;
 
@@ -65,6 +69,8 @@ pub struct VectorStore {
     patterns: Vec<Vec<(TermId, f64)>>,
     /// Materialised vectors, aligned with the index's documents.
     vectors: Vec<SparseVector>,
+    /// `vectors[i].stats()`, kept in step with every refill.
+    stats: Vec<VectorStats>,
     /// The idf factor per term as of the last sync.
     idf: HashMap<TermId, f64>,
     /// Advances exactly when a sync changes an already-materialised vector.
@@ -78,6 +84,7 @@ impl VectorStore {
             scheme,
             patterns: Vec::new(),
             vectors: Vec::new(),
+            stats: Vec::new(),
             idf: HashMap::new(),
             generation: 0,
         }
@@ -108,6 +115,11 @@ impl VectorStore {
         &self.vectors
     }
 
+    /// The statistics of document `i`'s vector (as of the last sync).
+    pub fn stats(&self, i: usize) -> &VectorStats {
+        &self.stats[i]
+    }
+
     /// A counter that advances exactly when a sync changed the value of an
     /// already-materialised vector. Appending documents whose terms leave
     /// every existing idf factor untouched (e.g. under
@@ -133,6 +145,7 @@ impl VectorStore {
                 // fall back to a full rebuild.
                 let old_len = self.vectors.len();
                 self.vectors = index.bm25_vectors(k1, b);
+                self.stats = self.vectors.iter().map(SparseVector::stats).collect();
                 if old_len > 0 && index.len() > old_len {
                     self.generation += 1;
                 }
@@ -184,6 +197,7 @@ impl VectorStore {
             if all_dirty || pattern.iter().any(|&(term, _)| dirty.contains(&term)) {
                 let idf = &self.idf;
                 self.vectors[doc].refill(pattern.iter().map(|&(term, w)| (term, w * idf[&term])));
+                self.stats[doc] = self.vectors[doc].stats();
                 changed_existing = true;
             }
         }
@@ -193,12 +207,12 @@ impl VectorStore {
         // Materialise vectors for the new documents.
         for pattern in &self.patterns[old_len..] {
             let idf = &self.idf;
-            self.vectors.push(
-                pattern
-                    .iter()
-                    .map(|&(term, w)| (term, w * idf[&term]))
-                    .collect(),
-            );
+            let vector: SparseVector = pattern
+                .iter()
+                .map(|&(term, w)| (term, w * idf[&term]))
+                .collect();
+            self.stats.push(vector.stats());
+            self.vectors.push(vector);
         }
     }
 }
@@ -249,8 +263,9 @@ mod tests {
                 store.sync(&index);
                 let batch = index.tfidf_vectors(scheme);
                 assert_eq!(store.len(), batch.len());
-                for (got, want) in store.vectors().iter().zip(&batch) {
+                for (i, (got, want)) in store.vectors().iter().zip(&batch).enumerate() {
                     assert_eq!(got, want, "scheme {scheme:?} diverged from batch");
+                    assert_eq!(store.stats(i), &want.stats(), "stale stats at {i}");
                 }
             }
         }
@@ -333,5 +348,8 @@ mod tests {
         store.sync(&index);
         assert_eq!(store.generation(), 1);
         assert_eq!(store.vectors(), index.bm25_vectors(1.2, 0.75).as_slice());
+        for (i, v) in store.vectors().iter().enumerate() {
+            assert_eq!(store.stats(i), &v.stats());
+        }
     }
 }

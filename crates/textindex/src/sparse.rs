@@ -4,8 +4,87 @@
 //!
 //! Entries are kept sorted by term id so that dot products and merges are
 //! linear-time merge joins with no allocation.
+//!
+//! Each measure is one formula over `(dot, stats_a, stats_b)`
+//! ([`VectorMeasure::score`]): the dot product is the only part that
+//! depends on both vectors, and [`VectorStats`] holds the rest. A caller
+//! that already has the dot product and both vectors' statistics (a block
+//! scoring every pair at once) computes the same value the pairwise method
+//! does, bit for bit.
+
+use std::collections::HashMap;
 
 use crate::vocab::TermId;
+
+/// The per-vector quantities the measures read besides the dot product.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct VectorStats {
+    /// Sum of the weights.
+    pub sum: f64,
+    /// Sum of the squared weights.
+    pub sum_sq: f64,
+    /// Euclidean norm, `sum_sq.sqrt()`.
+    pub norm: f64,
+}
+
+/// A similarity measure over sparse vectors, defined from the dot product
+/// and the two vectors' [`VectorStats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum VectorMeasure {
+    /// Cosine similarity, in `[0, 1]` for non-negative vectors; 0 when
+    /// either vector is empty (the paper treats pages with missing features
+    /// as maximally uninformative, i.e. no similarity evidence).
+    Cosine,
+    /// Pearson correlation over a `dim`-dimensional space, rescaled from
+    /// `[-1, 1]` to `[0, 1]`. Every coordinate outside the union of supports
+    /// counts as zero, so the means are `sum / dim`. 0 when either vector is
+    /// constant over the space (zero variance, which includes the empty
+    /// vector) or `dim == 0`.
+    Pearson,
+    /// Extended Jaccard (Tanimoto), `dot / (|a|² + |b|² − dot)`, in `[0, 1]`
+    /// for non-negative vectors; 0 when both vectors are empty.
+    ExtendedJaccard,
+}
+
+impl VectorMeasure {
+    /// The measure's value for two vectors with dot product `dot` and
+    /// statistics `a`, `b`; `dim` is the space dimensionality (read by
+    /// [`Pearson`](Self::Pearson) only).
+    pub fn score(self, dot: f64, a: &VectorStats, b: &VectorStats, dim: usize) -> f64 {
+        match self {
+            VectorMeasure::Cosine => {
+                let denom = a.norm * b.norm;
+                if denom == 0.0 {
+                    return 0.0;
+                }
+                (dot / denom).clamp(0.0, 1.0)
+            }
+            VectorMeasure::Pearson => {
+                if dim == 0 {
+                    return 0.0;
+                }
+                let n = dim as f64;
+                // sum((a_i - ma)(b_i - mb)) = dot(a,b) - ma*sb - mb*sa + n*ma*mb
+                //                           = dot(a,b) - sa*sb/n.
+                let cov = dot - a.sum * b.sum / n;
+                let var_a = a.sum_sq - a.sum * a.sum / n;
+                let var_b = b.sum_sq - b.sum * b.sum / n;
+                if var_a <= 0.0 || var_b <= 0.0 {
+                    return 0.0;
+                }
+                let r = (cov / (var_a.sqrt() * var_b.sqrt())).clamp(-1.0, 1.0);
+                (r + 1.0) / 2.0
+            }
+            VectorMeasure::ExtendedJaccard => {
+                let denom = a.norm.powi(2) + b.norm.powi(2) - dot;
+                if denom <= 0.0 {
+                    return 0.0;
+                }
+                (dot / denom).clamp(0.0, 1.0)
+            }
+        }
+    }
+}
 
 /// An immutable sparse vector: sorted `(TermId, weight)` pairs.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -86,9 +165,24 @@ impl SparseVector {
         self.entries.iter().map(|&(_, w)| w).sum()
     }
 
+    /// Sum of squared weights.
+    fn sum_sq(&self) -> f64 {
+        self.entries.iter().map(|&(_, w)| w * w).sum()
+    }
+
     /// Euclidean (L2) norm.
     pub fn norm(&self) -> f64 {
-        self.entries.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt()
+        self.sum_sq().sqrt()
+    }
+
+    /// The statistics [`VectorMeasure::score`] reads.
+    pub fn stats(&self) -> VectorStats {
+        let sum_sq = self.sum_sq();
+        VectorStats {
+            sum: self.sum(),
+            sum_sq,
+            norm: sum_sq.sqrt(),
+        }
     }
 
     /// Dot product via a sorted merge join.
@@ -110,55 +204,24 @@ impl SparseVector {
         acc
     }
 
-    /// Cosine similarity in `[0, 1]` for non-negative vectors.
-    ///
-    /// Returns 0 when either vector is empty (the paper treats pages with
-    /// missing features as maximally uninformative, i.e. no similarity
-    /// evidence).
+    /// [`VectorMeasure::Cosine`] of the two vectors.
     pub fn cosine(&self, other: &Self) -> f64 {
-        let denom = self.norm() * other.norm();
-        if denom == 0.0 {
-            return 0.0;
-        }
-        (self.dot(other) / denom).clamp(0.0, 1.0)
+        self.measure(VectorMeasure::Cosine, other, 0)
     }
 
-    /// Pearson correlation similarity over a `dim`-dimensional space,
-    /// rescaled from `[-1, 1]` to `[0, 1]` so it composes with the other
-    /// similarity functions.
-    ///
-    /// The correlation treats every coordinate outside the union of supports
-    /// as zero, so the means are `sum / dim`. Returns 0 if either vector is
-    /// constant over the space (zero variance) or `dim == 0`.
+    /// [`VectorMeasure::Pearson`] of the two vectors over a
+    /// `dim`-dimensional space.
     pub fn pearson(&self, other: &Self, dim: usize) -> f64 {
-        if dim == 0 {
-            return 0.0;
-        }
-        let n = dim as f64;
-        let (sa, sb) = (self.sum(), other.sum());
-        // sum((a_i - ma)(b_i - mb)) = dot(a,b) - ma*sb - mb*sa + n*ma*mb
-        //                           = dot(a,b) - sa*sb/n.
-        let cov = self.dot(other) - sa * sb / n;
-        let var_a = self.entries.iter().map(|&(_, w)| w * w).sum::<f64>() - sa * sa / n;
-        let var_b = other.entries.iter().map(|&(_, w)| w * w).sum::<f64>() - sb * sb / n;
-        if var_a <= 0.0 || var_b <= 0.0 {
-            return 0.0;
-        }
-        let r = (cov / (var_a.sqrt() * var_b.sqrt())).clamp(-1.0, 1.0);
-        (r + 1.0) / 2.0
+        self.measure(VectorMeasure::Pearson, other, dim)
     }
 
-    /// Extended Jaccard (Tanimoto) similarity:
-    /// `dot / (|a|^2 + |b|^2 - dot)`, in `[0, 1]` for non-negative vectors.
-    ///
-    /// Returns 0 when both vectors are empty.
+    /// [`VectorMeasure::ExtendedJaccard`] of the two vectors.
     pub fn extended_jaccard(&self, other: &Self) -> f64 {
-        let dot = self.dot(other);
-        let denom = self.norm().powi(2) + other.norm().powi(2) - dot;
-        if denom <= 0.0 {
-            return 0.0;
-        }
-        (dot / denom).clamp(0.0, 1.0)
+        self.measure(VectorMeasure::ExtendedJaccard, other, 0)
+    }
+
+    fn measure(&self, m: VectorMeasure, other: &Self, dim: usize) -> f64 {
+        m.score(self.dot(other), &self.stats(), &other.stats(), dim)
     }
 
     /// Element-wise sum of two vectors.
@@ -187,6 +250,38 @@ impl SparseVector {
             self.scale(1.0 / n)
         }
     }
+}
+
+/// The dot product of every pair of `vectors`, in colex order: the pair
+/// `(i, j)`, `i < j`, at `j·(j−1)/2 + i`.
+///
+/// One pass over term postings instead of a merge join per pair: column
+/// `j` walks vector `j`'s entries in ascending term id and adds
+/// `w_i·w_j` to every earlier vector `i` holding the term. Each pair's
+/// products therefore arrive in the same order, and start from the same
+/// `0.0`, as in [`SparseVector::dot`], so every value is bit-identical to
+/// it. The work is the number of shared-term pairs, not `n²` merge joins.
+pub fn pairwise_dots(vectors: &[SparseVector]) -> Vec<f64> {
+    let n = vectors.len();
+    let mut out = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+    // Postings of the vectors before the current column, in vector order.
+    let mut postings: HashMap<TermId, Vec<(usize, f64)>> = HashMap::new();
+    let mut acc = vec![0.0; n];
+    for (j, v) in vectors.iter().enumerate() {
+        for &(term, wj) in v.entries() {
+            if let Some(list) = postings.get(&term) {
+                for &(i, wi) in list {
+                    acc[i] += wi * wj;
+                }
+            }
+        }
+        out.extend_from_slice(&acc[..j]);
+        acc[..j].fill(0.0);
+        for &(term, w) in v.entries() {
+            postings.entry(term).or_default().push((j, w));
+        }
+    }
+    out
 }
 
 impl FromIterator<(TermId, f64)> for SparseVector {
@@ -317,6 +412,45 @@ mod tests {
         let a = v(&[(0, 3.0), (1, 4.0)]);
         assert!((a.normalized().norm() - 1.0).abs() < 1e-12);
         assert!(SparseVector::new().normalized().is_empty());
+    }
+
+    #[test]
+    fn stats_hold_the_pairwise_quantities() {
+        let a = v(&[(0, 3.0), (4, 4.0)]);
+        let s = a.stats();
+        assert_eq!(s.sum, a.sum());
+        assert_eq!(s.sum_sq, 25.0);
+        assert_eq!(s.norm, a.norm());
+        assert_eq!(SparseVector::new().stats().norm, 0.0);
+    }
+
+    #[test]
+    fn pairwise_dots_are_bit_identical_to_the_merge_join() {
+        let vectors = vec![
+            v(&[(0, 0.1), (3, 0.7), (9, 1.3)]),
+            SparseVector::new(),
+            v(&[(3, 0.3), (9, 0.11), (12, 2.0)]),
+            v(&[(0, 0.9), (3, 1.0 / 3.0), (9, 0.2), (12, 0.05)]),
+            v(&[(5, 1.0)]),
+            // Summed in another order, these products give 1.0, not 0.0.
+            v(&[(0, 1.0), (3, 1e16), (9, -1e16)]),
+            v(&[(0, 1.0), (3, 1.0), (9, 1.0)]),
+        ];
+        let dots = pairwise_dots(&vectors);
+        assert_eq!(dots.len(), 21);
+        assert_eq!(*dots.last().unwrap(), 0.0);
+        let mut k = 0;
+        for j in 1..vectors.len() {
+            for i in 0..j {
+                assert_eq!(
+                    dots[k].to_bits(),
+                    vectors[i].dot(&vectors[j]).to_bits(),
+                    "({i},{j})"
+                );
+                k += 1;
+            }
+        }
+        assert!(pairwise_dots(&[]).is_empty());
     }
 
     #[test]
